@@ -9,9 +9,10 @@ Four families share one fitting interface:
 
 Dispersion parameters are always optimized on the log scale, so the
 likelihood is unconstrained.  The homoscedastic transform family has a
-closed-form MLE; the rest run quasi-Newton (BFGS) on the mean negative
-log-likelihood with analytic gradients, convergence judged by a relative
-gradient criterion, and a damped Newton fallback for stalled fits.
+closed-form MLE; the rest run damped Newton on the mean negative
+log-likelihood with its analytic gradient and Hessian (the expected
+information stands in where the Hessian is not positive definite), and
+convergence is judged by a relative gradient criterion.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 from scipy import special as sp
 
-from .numeric import EPS, expit, logit
+from .numeric import EPS, _trigamma, expit, logit
 
 __all__ = [
     "ModelFamily",
@@ -39,6 +39,10 @@ __all__ = [
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# Newton step control: sufficient-decrease constant and most halvings per step
+ARMIJO_C = 1e-4
+MAX_HALVINGS = 30
 
 
 class FitError(RuntimeError):
@@ -124,16 +128,20 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the quasi-Newton fit.
+    """Knobs for the Newton fit.
 
     ``gtol`` bounds the relative gradient |g_i| * max(1,|x_i|) / max(1,|f|)
-    of the mean log-likelihood at the reported optimum.  ``init`` warm-starts
-    the optimizer (used heavily by full conformal prediction, which refits
-    the same data plus one candidate point many times).
+    of the mean log-likelihood at the reported optimum.  ``max_iter`` caps
+    the Newton iterations: a fit that has not met ``gtol`` by then is
+    reported with ``converged=False``.  Fits whose MLE exists converge in a
+    handful of iterations; the cap bounds the cost of those where it does
+    not and the iterates drift off.  ``init`` warm-starts the optimizer
+    (used heavily by full conformal prediction, which refits the same data
+    plus one candidate point many times).
     """
 
     gtol: float = 1e-6
-    max_iter: int = 500
+    max_iter: int = 50
     init: np.ndarray | None = None
 
 
@@ -143,7 +151,9 @@ class FittedModel:
 
     ``disp_intercept`` stores log(sigma) for the transform families and
     log(phi) for the beta families; ``disp_coef`` is identically zero when
-    the family has no dispersion covariates.
+    the family has no dispersion covariates.  ``iterations`` counts the
+    Newton iterations of the fit: 0 for the closed-form family, and for a
+    cold m4 fit without those of the m3 fit that gives its start.
     """
 
     spec: ModelSpec
@@ -153,6 +163,7 @@ class FittedModel:
     disp_coef: np.ndarray
     loglik: float
     converged: bool
+    iterations: int = 0
 
     @property
     def family(self) -> ModelFamily:
@@ -231,69 +242,40 @@ def _split_params(params: np.ndarray, p: int, family: ModelFamily):
 class _Likelihood:
     """Per-dataset likelihood workspace.
 
-    Precomputes the design matrix and response transforms once per fit, and
-    provides batched likelihood values plus the analytic gradient of the
-    mean negative log-likelihood (the optimizer's objective).
+    Precomputes the designs and response transforms once per fit and
+    provides the mean negative log-likelihood (the optimizer's objective)
+    with its analytic gradient and Hessian.  The mean submodel's design
+    ``Z`` is the intercept plus the covariates; the dispersion submodel's
+    ``Zd`` is ``Z`` too, or the intercept column alone when the family has
+    no dispersion covariates.
     """
 
     def __init__(self, data: Dataset, family: ModelFamily):
         self.family = family
-        self.n, self.p = data.n, data.p
+        self.n, self.k = data.n, data.p + 1
         self.Z = np.column_stack([np.ones(data.n), data.X])
-        self.y = data.y
+        self.Zd = self.Z if family.models_dispersion else self.Z[:, :1]
         if family.is_beta:
             self.log_y = np.log(data.y)
             self.log_1my = np.log1p(-data.y)
+            self.z = self.log_y - self.log_1my
         else:
             self.z = logit(data.y)
 
-    def _linear_parts(self, P: np.ndarray):
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        mean_lin = self.Z @ P[:, : self.p + 1].T  # (n, k)
-        if self.family.models_dispersion:
-            disp_lin = self.Z @ P[:, self.p + 1 :].T
-        else:
-            disp_lin = np.broadcast_to(P[:, self.p + 1], (self.n, P.shape[0]))
-        return mean_lin, disp_lin
-
-    def value_batch(self, P: np.ndarray) -> np.ndarray:
-        """Log-likelihood for each row of the parameter matrix ``P``."""
-        mean_lin, disp_lin = self._linear_parts(P)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.family.is_beta:
-                mu = np.clip(expit(mean_lin), EPS, 1.0 - EPS)
-                phi = np.exp(disp_lin)
-                a = mu * phi
-                b = (1.0 - mu) * phi
-                terms = (
-                    sp.gammaln(phi)
-                    - sp.gammaln(a)
-                    - sp.gammaln(b)
-                    + (a - 1.0) * self.log_y[:, None]
-                    + (b - 1.0) * self.log_1my[:, None]
-                )
-            else:
-                resid = (self.z[:, None] - mean_lin) * np.exp(-disp_lin)
-                terms = -0.5 * LOG_2PI - disp_lin - 0.5 * resid * resid
-            out = terms.sum(axis=0)
-        return np.where(np.isfinite(out), out, -np.inf)
+    def _linear(self, x: np.ndarray):
+        return self.Z @ x[: self.k], self.Zd @ x[self.k :]
 
     def objective(self, x: np.ndarray) -> float:
         """Mean negative log-likelihood at a single parameter vector."""
-        mean_lin = self.Z @ x[: self.p + 1]
-        if self.family.models_dispersion:
-            disp_lin = self.Z @ x[self.p + 1 :]
-        else:
-            disp_lin = x[self.p + 1]
+        mean_lin, disp_lin = self._linear(x)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if self.family.is_beta:
                 mu = np.clip(sp.expit(mean_lin), EPS, 1.0 - EPS)
                 phi = np.exp(disp_lin)
                 a = mu * phi
                 b = (1.0 - mu) * phi
-                gl_phi = self.n * sp.gammaln(phi) if np.ndim(phi) == 0 else sp.gammaln(phi).sum()
                 total = (
-                    gl_phi
+                    sp.gammaln(phi).sum()
                     - sp.gammaln(a).sum()
                     - sp.gammaln(b).sum()
                     + (a - 1.0) @ self.log_y
@@ -301,53 +283,76 @@ class _Likelihood:
                 )
             else:
                 resid = (self.z - mean_lin) * np.exp(-disp_lin)
-                total = (
-                    -0.5 * LOG_2PI * self.n
-                    - (self.n * disp_lin if np.ndim(disp_lin) == 0 else disp_lin.sum())
-                    - 0.5 * (resid @ resid)
-                )
+                total = -0.5 * LOG_2PI * self.n - disp_lin.sum() - 0.5 * (resid @ resid)
         out = -float(total) / self.n
         return out if np.isfinite(out) else np.inf
 
+    def _rows(self, x: np.ndarray):
+        """Per-row log-likelihood derivatives in the mean and dispersion
+        linear predictors, and the fitted values they were computed from."""
+        mean_lin, disp_lin = self._linear(x)
+        if self.family.is_beta:
+            mu = np.clip(sp.expit(mean_lin), EPS, 1.0 - EPS)
+            phi = np.exp(disp_lin)
+            a = mu * phi
+            b = (1.0 - mu) * phi
+            dig_a = sp.digamma(a)
+            dig_b = sp.digamma(b)
+            d_mean = phi * mu * (1.0 - mu) * (self.z - dig_a + dig_b)
+            d_disp = phi * (
+                sp.digamma(phi)
+                - mu * dig_a
+                - (1.0 - mu) * dig_b
+                + mu * self.log_y
+                + (1.0 - mu) * self.log_1my
+            )
+            return d_mean, d_disp, (mu, phi, a, b)
+        sigma = np.exp(disp_lin)
+        resid = (self.z - mean_lin) / sigma
+        return resid / sigma, resid * resid - 1.0, (sigma,)
+
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Analytic gradient of the mean negative log-likelihood."""
-        mean_lin = self.Z @ x[: self.p + 1]
-        if self.family.models_dispersion:
-            disp_lin = self.Z @ x[self.p + 1 :]
-        else:
-            disp_lin = x[self.p + 1]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.family.is_beta:
-                mu = np.clip(sp.expit(mean_lin), EPS, 1.0 - EPS)
-                phi = np.exp(disp_lin)
-                a = mu * phi
-                b = (1.0 - mu) * phi
-                dig_a = sp.digamma(a)
-                dig_b = sp.digamma(b)
-                per_mean = phi * mu * (1.0 - mu) * (self.log_y - self.log_1my - dig_a + dig_b)
-                per_disp = phi * (
-                    sp.digamma(phi)
-                    - mu * dig_a
-                    - (1.0 - mu) * dig_b
-                    + mu * self.log_y
-                    + (1.0 - mu) * self.log_1my
-                )
-            else:
-                sigma = np.exp(disp_lin)
-                resid = (self.z - mean_lin) / sigma
-                per_mean = resid / sigma
-                per_disp = resid * resid - 1.0
-            g_mean = self.Z.T @ per_mean
-            if self.family.models_dispersion:
-                g_disp = self.Z.T @ per_disp
-            else:
-                g_disp = np.array([per_disp.sum()])
-            g = -np.concatenate([g_mean, g_disp]) / self.n
+            d_mean, d_disp, _ = self._rows(x)
+            g = -np.concatenate([self.Z.T @ d_mean, self.Zd.T @ d_disp]) / self.n
         return np.where(np.isfinite(g), g, 0.0)
 
+    def hessian(self, x: np.ndarray, expected: bool = False) -> np.ndarray:
+        """Analytic Hessian of the mean negative log-likelihood.
 
-def _loglik_batch(data: Dataset, family: ModelFamily, P: np.ndarray) -> np.ndarray:
-    return _Likelihood(data, family).value_batch(P)
+        With ``expected`` it is the expected (Fisher) information instead,
+        which is positive definite for every family at a full-rank design.
+        Both are assembled as ``Z^T diag(w) Z`` blocks from per-row weights:
+        the expected weights, plus residual terms for the observed Hessian
+        (Ferrari & Cribari-Neto 2004; Simas, Barreto-Souza & Rocha 2010 for
+        varying precision).  Non-finite entries are left for the caller.
+        """
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            d_mean, d_disp, fitted = self._rows(x)
+            if self.family.is_beta:
+                mu, phi, a, b = fitted
+                tri_a, tri_b = _trigamma(a), _trigamma(b)
+                slope = mu * (1.0 - mu)  # d mu / d mean_lin
+                w_mm = (phi * slope) ** 2 * (tri_a + tri_b)
+                w_md = phi * phi * slope * (mu * tri_a - (1.0 - mu) * tri_b)
+                w_dd = phi * phi * (mu * mu * tri_a + (1.0 - mu) ** 2 * tri_b - _trigamma(phi))
+                if not expected:
+                    w_mm = w_mm - (1.0 - 2.0 * mu) * d_mean
+                    w_md = w_md - d_mean
+                    w_dd = w_dd - d_disp
+            else:
+                (sigma,) = fitted
+                w_mm = sigma**-2.0
+                w_md = 0.0 if expected else 2.0 * d_mean
+                w_dd = 2.0 if expected else 2.0 * (d_disp + 1.0)
+            k = self.k
+            H = np.empty((k + self.Zd.shape[1],) * 2)
+            H[:k, :k] = (self.Z.T * w_mm) @ self.Z
+            H[:k, k:] = (self.Z.T * w_md) @ self.Zd
+            H[k:, :k] = H[:k, k:].T
+            H[k:, k:] = (self.Zd.T * w_dd) @ self.Zd
+        return H / self.n
 
 
 def loglik(data: Dataset, spec: ModelSpec, params) -> float:
@@ -359,93 +364,81 @@ def loglik(data: Dataset, spec: ModelSpec, params) -> float:
     Returns -inf for parameter values outside the valid region.
     """
     _split_params(params, data.p, spec.family)  # validates the layout
-    packed = np.asarray(params, dtype=float)
-    return float(_loglik_batch(data, spec.family, packed[None, :])[0])
+    return -data.n * _Likelihood(data, spec.family).objective(np.asarray(params, dtype=float))
 
 
 def _relative_gradient(g: np.ndarray, x: np.ndarray, f: float) -> float:
     return float(np.max(np.abs(g) * np.maximum(1.0, np.abs(x))) / max(1.0, abs(f)))
 
 
-def _fd_hessian(lik: _Likelihood, x: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of the analytic gradient."""
-    d = len(x)
-    h = step * np.maximum(1.0, np.abs(x))
-    H = np.empty((d, d))
-    for j in range(d):
-        xp = x.copy()
-        xp[j] += h[j]
-        xm = x.copy()
-        xm[j] -= h[j]
-        H[:, j] = (lik.gradient(xp) - lik.gradient(xm)) / (2.0 * h[j])
-    return 0.5 * (H + H.T)
+def _newton_direction(lik: _Likelihood, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """-H^-1 g for the observed Hessian, or for the expected information where
+    the Hessian is not positive definite; None when neither is usable.
 
-
-def _newton_polish(lik: _Likelihood, x: np.ndarray, opts: "FitOptions") -> np.ndarray:
-    """Damped Newton steps for fits where BFGS stalls short of the tolerance.
-
-    Near these optima the objective can be flat to machine noise while the
-    gradient is not yet converged, so line searches on function decrease
-    make no progress.  Steps are instead accepted on relative-gradient
-    decrease, with a noise-level guard against genuine objective increases.
+    Where the iterates drift off (no MLE), the entries can span so many
+    orders of magnitude that the solve finds the matrix singular even after
+    a Cholesky factorization succeeded; that counts as unusable too.
     """
-    f0 = lik.objective(x)
-    slack = 1e3 * np.finfo(float).eps * max(1.0, abs(f0))
-    rg = _relative_gradient(lik.gradient(x), x, f0)
-
-    for _ in range(8):
-        if rg <= opts.gtol:
-            break
-        g = lik.gradient(x)
-        H = _fd_hessian(lik, x, 1e-5)
+    for expected in (False, True):
+        H = lik.hessian(x, expected)
+        if not np.all(np.isfinite(H)):
+            continue
         try:
-            direction = np.linalg.solve(H, -g)
+            np.linalg.cholesky(H)
+            return -np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
-            direction = -g
-        if g @ direction >= 0.0:
-            direction = -g
-        moved = False
+            continue
+    return None
+
+
+def _newton(lik: _Likelihood, x: np.ndarray, opts: FitOptions):
+    """Damped Newton iterations from ``x`` until the relative gradient meets
+    ``opts.gtol``, no step is acceptable, or ``opts.max_iter`` is reached.
+
+    Steps are halved until they satisfy the Armijo condition.  Near an
+    optimum the objective is flat to rounding noise while the gradient may
+    not yet have converged, so the condition allows an increase of up to
+    ``1e3 * eps * |f|``.  Returns (x, f, g, iterations).
+    """
+    f, g = lik.objective(x), lik.gradient(x)
+    for it in range(opts.max_iter):
+        if _relative_gradient(g, x, f) <= opts.gtol:
+            return x, f, g, it
+        step = _newton_direction(lik, x, g)
+        if step is None:
+            return x, f, g, it
+        descent = ARMIJO_C * float(g @ step)
+        slack = 1e3 * np.finfo(float).eps * max(1.0, abs(f))
         t = 1.0
-        for _ in range(20):
-            x_try = x + t * direction
+        for _ in range(MAX_HALVINGS):
+            x_try = x + t * step
             f_try = lik.objective(x_try)
-            if np.isfinite(f_try) and f_try <= f0 + slack:
-                rg_try = _relative_gradient(lik.gradient(x_try), x_try, f_try)
-                if rg_try < 0.9 * rg:
-                    x, f0, rg = x_try, min(f0, f_try), rg_try
-                    moved = True
-                    break
+            if f_try <= f + t * descent + slack:
+                break
             t *= 0.5
-        if not moved:
-            break
-    return x
+        else:
+            return x, f, g, it
+        x, f, g = x_try, f_try, lik.gradient(x_try)
+    return x, f, g, opts.max_iter
 
 
-def _design(data: Dataset) -> np.ndarray:
-    Z = np.column_stack([np.ones(data.n), data.X])
-    if np.linalg.matrix_rank(Z) < Z.shape[1]:
-        raise SingularDesign("design matrix with intercept is rank deficient")
-    return Z
-
-
-def _ols_logit(data: Dataset, Z: np.ndarray):
-    z = logit(data.y)
-    coef, *_ = np.linalg.lstsq(Z, z, rcond=None)
-    resid = z - Z @ coef
-    sigma2 = float(resid @ resid) / data.n  # maximum likelihood divisor
+def _ols_logit(lik: _Likelihood):
+    coef, *_ = np.linalg.lstsq(lik.Z, lik.z, rcond=None)
+    resid = lik.z - lik.Z @ coef
+    sigma2 = float(resid @ resid) / lik.n  # maximum likelihood divisor
     return coef, max(sigma2, 1e-12)
 
 
-def _initial_params(data: Dataset, family: ModelFamily, Z: np.ndarray) -> np.ndarray:
-    coef, sigma2 = _ols_logit(data, Z)
-    if family is ModelFamily.TRANSFORM_HETERO:
+def _initial_params(data: Dataset, lik: _Likelihood) -> np.ndarray:
+    coef, sigma2 = _ols_logit(lik)
+    if lik.family is ModelFamily.TRANSFORM_HETERO:
         return np.concatenate([coef, [0.5 * np.log(sigma2)], np.zeros(data.p)])
     # beta families: method-of-moments precision from the logit-scale residual
     # variance, var(y) ~= var(z) * (mu (1 - mu))^2 by the delta method
-    mu = np.clip(expit(Z @ coef), EPS, 1.0 - EPS)
+    mu = np.clip(expit(lik.Z @ coef), EPS, 1.0 - EPS)
     phi_points = 1.0 / (sigma2 * mu * (1.0 - mu)) - 1.0
     phi0 = float(np.clip(np.mean(phi_points), 0.5, 1e4))
-    if family is ModelFamily.BETA_MEAN:
+    if lik.family is ModelFamily.BETA_MEAN:
         return np.concatenate([coef, [np.log(phi0)]])
     base = fit(data, ModelSpec(ModelFamily.BETA_MEAN))
     return np.concatenate(
@@ -458,47 +451,36 @@ def fit(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> Fitte
 
     The homoscedastic transform family is solved in closed form (OLS on the
     logit scale, residual variance with the maximum likelihood divisor).
-    The others run BFGS on the mean negative log-likelihood; a fit that
-    stalls is restarted once from its stopping point before being reported
-    with ``converged=False``.  Never raises for non-convergence; raises
+    The others run damped Newton on the mean negative log-likelihood from
+    ``opts.init`` or a moment-based start (m4 starts from the m3 fit); a
+    fit that has not met ``opts.gtol`` when no step improves the objective
+    or ``opts.max_iter`` iterations have run is reported with
+    ``converged=False``.  Never raises for non-convergence; raises
     :class:`SingularDesign` for a rank-deficient design.
     """
     opts = opts or FitOptions()
     if data.n < data.p + 2:
         raise FitError(f"need at least p + 2 = {data.p + 2} observations, got {data.n}")
-    Z = _design(data)
     family = spec.family
+    lik = _Likelihood(data, family)
+    if np.linalg.matrix_rank(lik.Z) < lik.Z.shape[1]:
+        raise SingularDesign("design matrix with intercept is rank deficient")
 
     if family is ModelFamily.TRANSFORM_HOMO:
-        coef, sigma2 = _ols_logit(data, Z)
+        coef, sigma2 = _ols_logit(lik)
         params = np.concatenate([coef, [0.5 * np.log(sigma2)]])
-        return _build(data, spec, params, converged=True)
+        return _build(data, spec, params, lik.objective(params), converged=True, iterations=0)
 
-    x0 = np.asarray(opts.init, dtype=float) if opts.init is not None else _initial_params(data, family, Z)
+    x0 = np.asarray(opts.init, dtype=float) if opts.init is not None else _initial_params(data, lik)
     _split_params(x0, data.p, family)  # validates the layout
-    lik = _Likelihood(data, family)
-
-    best = x0
-    for _ in range(2):
-        res = scipy.optimize.minimize(
-            lik.objective,
-            best,
-            jac=lik.gradient,
-            method="BFGS",
-            options={"gtol": 0.1 * opts.gtol, "maxiter": opts.max_iter},
-        )
-        if np.all(np.isfinite(res.x)) and lik.objective(res.x) <= lik.objective(best):
-            best = res.x
-        if _relative_gradient(lik.gradient(best), best, lik.objective(best)) <= opts.gtol:
-            break
-    else:
-        best = _newton_polish(lik, best, opts)
-
-    converged = _relative_gradient(lik.gradient(best), best, lik.objective(best)) <= opts.gtol
-    return _build(data, spec, best, converged=converged)
+    x, f, g, iterations = _newton(lik, x0, opts)
+    converged = _relative_gradient(g, x, f) <= opts.gtol
+    return _build(data, spec, x, f, converged, iterations)
 
 
-def _build(data: Dataset, spec: ModelSpec, params: np.ndarray, converged: bool) -> FittedModel:
+def _build(
+    data: Dataset, spec: ModelSpec, params: np.ndarray, objective: float, converged: bool, iterations: int
+) -> FittedModel:
     mean, di, dc = _split_params(params, data.p, spec.family)
     return FittedModel(
         spec=spec,
@@ -506,6 +488,7 @@ def _build(data: Dataset, spec: ModelSpec, params: np.ndarray, converged: bool) 
         mean_coef=np.array(mean[1:]),
         disp_intercept=float(di),
         disp_coef=np.array(dc),
-        loglik=loglik(data, spec, params),
+        loglik=-data.n * objective,
         converged=converged,
+        iterations=iterations,
     )

@@ -32,6 +32,9 @@ EPS = float(np.finfo(float).eps)
 # |beta_cdf(beta_quantile(u)) - u| is pushed below this
 BETA_QUANTILE_TOL = 1e-10
 
+# Bernoulli numbers B_2, B_4, ..., B_14 of the trigamma asymptotic series
+_BERNOULLI_2_TO_14 = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0)
+
 
 @dataclass(frozen=True)
 class BetaParams:
@@ -119,6 +122,28 @@ def beta_log_pdf(y, mu, phi):
         + (a - 1.0) * np.log(y)
         + (b - 1.0) * np.log1p(-y)
     )
+
+
+def _trigamma(x) -> np.ndarray:
+    """Trigamma function psi'(x) for x > 0, as a 1-d or higher array.
+
+    Arguments below 6 are shifted up by six with the recurrence
+    psi'(x) = psi'(x + 1) + 1 / x**2; the asymptotic series in 1/x then
+    carries the rest.  Relative error is below 1e-11 on [1e-4, 1e6], at a
+    fraction of the cost of ``scipy.special.polygamma(1, x)``.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    small = x < 6.0
+    r = 1.0 / np.where(small, x + 6.0, x)
+    r2 = r * r
+    tail = np.zeros_like(r)
+    for b in reversed(_BERNOULLI_2_TO_14):
+        tail = b + r2 * tail
+    out = r + r2 * (0.5 + r * tail)  # 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1)
+    if small.any():
+        xs = x[small]
+        out[small] += sum(1.0 / ((xs + j) * (xs + j)) for j in range(6))
+    return out
 
 
 def beta_pdf(y, p: BetaParams):

@@ -1,6 +1,10 @@
 """CLI behavior: ingestion, subcommands, exit codes, file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,3 +329,13 @@ def test_simulate_full_method_cell(tmp_path):
     _, rows = read_results_csv(out)
     assert rows[0]["method"] == "full"
     assert rows[0]["replications"] == 3
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    """scipy.optimize dominated start-up time; the package no longer needs it."""
+    import unitcp
+
+    env = dict(os.environ, PYTHONPATH=str(Path(unitcp.__file__).resolve().parents[1]))
+    probe = "import sys, unitcp.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -7,6 +7,7 @@ import scipy.optimize
 from unitcp import (
     Dataset,
     FitError,
+    FitOptions,
     FittedModel,
     ModelFamily,
     ModelSpec,
@@ -17,7 +18,9 @@ from unitcp import (
     logit,
     loglik,
 )
-from unitcp.models import _Likelihood
+from unitcp.cli import load_csv
+from unitcp.datasets import bodyfat_path
+from unitcp.models import _Likelihood, _initial_params
 
 from conftest import make_scenario_data
 
@@ -88,7 +91,7 @@ def test_m1_recovers_truth():
     est = np.concatenate([[m.mean_intercept], m.mean_coef])
     assert np.max(np.abs(est - truth)) < 0.05
     assert abs(np.exp(m.disp_intercept) - 0.63) < 0.05
-    assert m.converged
+    assert m.converged and m.iterations == 0
     assert np.all(m.disp_coef == 0.0)
 
 
@@ -103,16 +106,21 @@ def test_m3_recovers_truth():
     assert np.all(m.disp_coef == 0.0)
 
 
+def _bfgs_reference(data, spec, start):
+    """A general-purpose optimizer's answer, independent of the package's fit."""
+    lik = _Likelihood(data, spec.family)
+    res = scipy.optimize.minimize(lik.objective, start, jac=lik.gradient, method="BFGS",
+                                  options={"gtol": 1e-10, "maxiter": 5000})
+    return res.x
+
+
 def test_m1_matches_generic_optimizer():
     # the closed form must be the optimum of the same likelihood the
-    # quasi-Newton families maximize
+    # Newton families maximize
     data, _, _ = make_scenario_data(Scenario.TRANSFORM_HOMO, 300, 0.63, seed=3)
     m = fit(data, M1)
-    lik = _Likelihood(data, ModelFamily.TRANSFORM_HOMO)
     x0 = m.params + np.random.default_rng(0).normal(0, 0.05, len(m.params))
-    res = scipy.optimize.minimize(lik.objective, x0, jac=lik.gradient, method="BFGS",
-                                  options={"gtol": 1e-10})
-    assert np.max(np.abs(res.x - m.params)) < 1e-6
+    assert np.max(np.abs(_bfgs_reference(data, M1, x0) - m.params)) < 1e-6
 
 
 @pytest.mark.parametrize("spec,scenario,disp", [
@@ -248,6 +256,68 @@ def test_optimizer_gradient_matches_central_differences(spec, scenario, disp):
             oracle[i] = (lik.objective(xp) - lik.objective(xm)) / (2.0 * h)
         denom = np.maximum(np.abs(oracle), 1e-6)
         assert np.max(np.abs(g - oracle) / denom) < 1e-5
+
+
+@pytest.mark.parametrize("spec,scenario,disp", [
+    (M2, Scenario.TRANSFORM_HETERO, None),
+    (M3, Scenario.BETA_MEAN, 10.0),
+    (M4, Scenario.BETA_MEAN_DISP, None),
+])
+def test_hessian_matches_central_differences(spec, scenario, disp):
+    """Analytic Hessian against central differences of the analytic gradient,
+    1e-5 relative; the expected information is positive definite."""
+    data, _, _ = make_scenario_data(scenario, 120, disp, seed=9)
+    lik = _Likelihood(data, spec.family)
+    dim = data.p + 2 + (data.p if spec.family.models_dispersion else 0)
+    rng = np.random.default_rng(32)
+    for _ in range(10):
+        x = rng.normal(0.0, 0.4, dim)
+        H = lik.hessian(x)
+        oracle = np.empty((dim, dim))
+        for j in range(dim):
+            h = 1e-6 * max(1.0, abs(x[j]))
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            oracle[:, j] = (lik.gradient(xp) - lik.gradient(xm)) / (2.0 * h)
+        denom = np.maximum(np.abs(oracle), 1e-6)
+        assert np.max(np.abs(H - oracle) / denom) < 1e-5
+        assert np.min(np.linalg.eigvalsh(lik.hessian(x, expected=True))) > 0.0
+
+
+@pytest.mark.parametrize("spec,scenario,disp", [
+    (M2, Scenario.TRANSFORM_HETERO, None),
+    (M3, Scenario.BETA_MEAN, 10.0),
+    (M4, Scenario.BETA_MEAN_DISP, None),
+])
+def test_newton_matches_bfgs_reference(spec, scenario, disp):
+    """Newton optimum against a tight BFGS run from the same start, on
+    simulated data and on the bundled body-fat table, cold and warm."""
+    sim, _, _ = make_scenario_data(scenario, 200, disp, seed=21)
+    for data in (sim, load_csv(bodyfat_path())):
+        m = fit(data, spec)
+        assert m.converged and 0 < m.iterations <= FitOptions().max_iter
+        ref = _bfgs_reference(data, spec, _initial_params(data, _Likelihood(data, spec.family)))
+        assert np.max(np.abs(m.params - ref)) < 1e-6
+        # a warm-started refit of the data plus one point, as full CP does
+        aug = data.augmented(float(np.median(data.y)), data.X[0])
+        warm = fit(aug, spec, FitOptions(init=m.params))
+        assert warm.converged
+        assert np.max(np.abs(warm.params - _bfgs_reference(aug, spec, m.params))) < 1e-6
+
+
+@pytest.mark.parametrize("spec", [M2, M4])
+def test_fit_without_mle_reports_nonconvergence(spec):
+    """n=15 with a dummy covariate set for one row only: that row can be fit
+    exactly and its dispersion sent to zero, so the likelihood is unbounded."""
+    rng = np.random.default_rng(7)
+    dummy = np.zeros(15)
+    dummy[0] = 1.0
+    data = Dataset(np.clip(rng.beta(4.0, 6.0, 15), 0.01, 0.99), np.column_stack([dummy, rng.normal(size=15)]))
+    opts = FitOptions(max_iter=50)
+    m = fit(data, spec, opts)
+    assert not m.converged
+    assert m.iterations <= opts.max_iter
 
 
 def test_mle_is_local_maximum():

@@ -1,13 +1,15 @@
 """Distribution primitives against independent oracles.
 
-Reference values come from mpmath (arbitrary precision) and from direct
-quadrature of the density; the library code never touches either path.
+Reference values come from mpmath (arbitrary precision), from direct
+quadrature of the density and, for the trigamma function, from
+scipy.special.polygamma; the library code never touches these paths.
 """
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import polygamma
 
 from unitcp import (
     BetaParams,
@@ -19,6 +21,7 @@ from unitcp import (
     norm_cdf,
     norm_quantile,
 )
+from unitcp.numeric import _trigamma
 
 mpmath.mp.dps = 40
 
@@ -212,3 +215,8 @@ def test_monotonicity_on_dense_grids():
     for p in (BetaParams(0.5, 2.0), BetaParams(0.2, 5.0), BetaParams(0.7, 20.0)):
         assert np.all(np.diff(beta_cdf(ys, p)) > 0)
         assert np.all(np.diff(beta_quantile(us, p)) > 0)
+
+
+def test_trigamma_matches_scipy():
+    x = np.logspace(-4.0, 6.0, 2001)
+    assert np.max(np.abs(_trigamma(x) / polygamma(1, x) - 1.0)) < 1e-8

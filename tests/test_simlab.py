@@ -23,7 +23,7 @@ from unitcp.simlab import (
     scenario_phi,
 )
 
-from test_models import M1, M3, M4
+from test_models import M1, M2, M3, M4
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +126,16 @@ def test_single_replication_coverage_is_binary():
     assert rep.coverage in (0.0, 1.0)
     assert rep.replications == 1
     assert rep.cpu_sd == 0.0
+
+
+def test_diverging_fit_is_redrawn_not_raised():
+    """This n=30 replication's training fit has no MLE: its Newton iterates
+    drift until the information matrix is numerically singular.  The fit
+    must report non-convergence, so the replication is redrawn."""
+    cfg = ScenarioConfig(Scenario.TRANSFORM_HETERO, 30, rng_seed=1520845628)
+    rep = run_coverage(cfg, M2, ScoreKind.PEARSON, Method.SPLIT, 0.1, 1)
+    assert rep.replications == 1
+    assert rep.failures_replaced >= 1
 
 
 def test_coverage_report_reproducible():
