@@ -77,6 +77,7 @@ RESULTS_COLUMNS = [
 RESULTS_SCHEMA = "unitcp-results/1"
 
 INTERVAL_COLUMNS = ["seed", "model", "score", "method", "test_index", "lower", "upper", "truth", "covered"]
+INTERVALS_SCHEMA = "unitcp-intervals/1"
 
 # the battery of model/score pairs used for real-data analysis
 ANALYSIS_BATTERY = [
@@ -127,43 +128,50 @@ def load_csv(path, rescale: tuple[float, float] | None = None) -> Dataset:
     return Dataset(y, X)
 
 
-def _read_table(path, rescale=None):
+def _read_rows(path):
+    """Stripped header and the data rows of a CSV file; blank lines are skipped."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    return [h.strip() for h in rows[0]], rows[1:]
+
+
+def _parse_cells(path, header, rows) -> np.ndarray:
+    """Data rows as a float matrix, one column per header name.
+
+    Rows with a missing, extra, non-numeric or non-finite cell are reported
+    together by their 1-based data row numbers.
+    """
+    bad_rows, values = [], []
+    for r, row in enumerate(rows, start=1):
+        try:
+            vals = [float(cell) for cell in row]
+        except ValueError:
+            vals = []
+        if len(vals) != len(header) or not all(math.isfinite(v) for v in vals):
+            bad_rows.append(r)
+            continue
+        values.append(vals)
+    if bad_rows:
+        raise ParseError(f"{path}: missing or non-numeric cells in rows {bad_rows}")
+    if not values:
+        raise ParseError(f"{path}: no data rows")
+    return np.array(values)
+
+
+def _read_table(path, rescale=None):
+    header, rows = _read_rows(path)
     if "y" not in header:
         raise MissingResponseColumn(f"{path}: no column named 'y' in header {header}")
     y_col = header.index("y")
     cov_names = [h for i, h in enumerate(header) if i != y_col]
+    values = _parse_cells(path, header, rows)
 
-    bad_rows = []
-    y_vals, x_rows = [], []
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            bad_rows.append(r)
-            continue
-        try:
-            vals = [float(cell) for cell in row]
-        except ValueError:
-            bad_rows.append(r)
-            continue
-        if not all(math.isfinite(v) for v in vals):
-            bad_rows.append(r)
-            continue
-        y_vals.append(vals[y_col])
-        x_rows.append([v for i, v in enumerate(vals) if i != y_col])
-    if bad_rows:
-        raise ParseError(f"{path}: missing or non-numeric cells in rows {bad_rows}")
-    if not y_vals:
-        raise ParseError(f"{path}: no data rows")
-
-    y = np.array(y_vals)
+    y = values[:, y_col]
     if rescale is not None:
         a, b = rescale
         if not b > a:
@@ -174,7 +182,7 @@ def _read_table(path, rescale=None):
         raise OutOfRangeResponse(
             f"{path}: responses outside the open interval (0, 1) in rows {out_of_range}"
         )
-    return cov_names, y, np.array(x_rows)
+    return cov_names, y, np.delete(values, y_col, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +213,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render_csv(columns, rows, meta: dict) -> str:
+def _render_csv(schema: str, columns, rows, meta: dict) -> str:
     buf = io.StringIO()
-    buf.write(f"# schema={RESULTS_SCHEMA if columns is RESULTS_COLUMNS else 'unitcp-intervals/1'}\n")
+    buf.write(f"# schema={schema}\n")
     buf.write(f"# version={__version__}\n")
     for key, value in meta.items():
         buf.write(f"# {key}={value}\n")
@@ -384,23 +392,10 @@ def _default_score(family: ModelFamily) -> ScoreKind:
 
 
 def _read_new_covariates(path, expected_names):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header, rows = _read_rows(path)
     if header != expected_names:
         raise ParseError(f"{path}: covariate columns {header} do not match training columns {expected_names}")
-    try:
-        X = np.array([[float(c) for c in row] for row in rows[1:]])
-    except ValueError as exc:
-        raise ParseError(f"{path}: non-numeric covariate cell: {exc}") from exc
-    if X.size == 0:
-        raise ParseError(f"{path}: no covariate rows")
-    return X
+    return _parse_cells(path, header, rows)
 
 
 def _cmd_predict(args) -> int:
@@ -438,7 +433,7 @@ def _cmd_predict(args) -> int:
         for i, iv in enumerate(intervals)
     ]
     meta = {"alpha": args.alpha, "input": args.input, "rows": len(rows)}
-    _write_atomic(args.output, _render_csv(INTERVAL_COLUMNS, rows, meta))
+    _write_atomic(args.output, _render_csv(INTERVALS_SCHEMA, INTERVAL_COLUMNS, rows, meta))
     return 0
 
 
@@ -488,7 +483,7 @@ def _cmd_simulate(args) -> int:
         "replications-full": args.replications_full,
         "seed": args.seed,
     }
-    _write_atomic(args.output, _render_csv(RESULTS_COLUMNS, rows, meta))
+    _write_atomic(args.output, _render_csv(RESULTS_SCHEMA, RESULTS_COLUMNS, rows, meta))
     return 0
 
 
@@ -592,8 +587,8 @@ def _cmd_analyze(args) -> int:
         "seed": args.seed,
     }
     out = Path(args.output)
-    _write_atomic(out / "results.csv", _render_csv(RESULTS_COLUMNS, result_rows, meta))
-    _write_atomic(out / "intervals.csv", _render_csv(INTERVAL_COLUMNS, interval_rows, meta))
+    _write_atomic(out / "results.csv", _render_csv(RESULTS_SCHEMA, RESULTS_COLUMNS, result_rows, meta))
+    _write_atomic(out / "intervals.csv", _render_csv(INTERVALS_SCHEMA, INTERVAL_COLUMNS, interval_rows, meta))
     return 0
 
 

@@ -3,12 +3,15 @@
 Split conformal fits once on a random half of the data, takes the
 conformal quantile of the calibration scores, and inverts the score
 inequality in closed form.  Full conformal refits the model for candidate
-responses and locates the inclusion region with an adaptive search: binary
-search from a valid starting point when one is available, otherwise a
-midpoint-refined coarse grid.  The beta families are searched directly in
-(0,1); the transform families on a fixed logit-scale grid spanning an
-extended classical prediction interval.  Indicator evaluations are
-memoized per call.
+responses.  Each candidate has a signed margin, its score minus the k-th
+smallest score of the other n points, which is <= 0 exactly when the
+candidate is in the conformal set and moves continuously with it.  One
+edge search serves all four families: from the fitted centre it probes
+each edge where the base fit predicts it, extrapolates by secant until a
+candidate is excluded, and closes the bracket by Illinois regula falsi,
+returning the included end of a bracket no wider than the resolution.
+The beta families are searched in y on (0, 1); the transform families on
+the logit scale over an extended classical prediction interval.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ __all__ = [
 # candidate grids never leave [expit(-LOGIT_LIMIT), expit(LOGIT_LIMIT)], which
 # keeps expit() away from exact 0/1
 LOGIT_LIMIT = 36.0
+
+# the edge search extrapolates at most this many times its last step
+EDGE_GROWTH = 4.0
 
 # quantile-score inversion clamps its CDF arguments here (matches the score clamp)
 _U_CLIP = 1e-12
@@ -115,10 +121,12 @@ class SplitConfig:
 class FullConfig:
     """Settings for full conformal prediction.
 
-    ``tolerance`` bounds the endpoint error of the direct (0,1) search used
-    for the beta families; ``grid_step`` is the logit-scale spacing for the
-    transform families; ``rho`` extends the classical interval on both sides
-    to form the grid range.
+    ``tolerance`` is the endpoint resolution of the beta families' search
+    in y; ``grid_step`` is the endpoint resolution of the transform
+    families' search on the logit scale.  Each returned endpoint is
+    included and lies within that resolution of the edge of the conformal
+    set.  ``rho`` extends the classical interval by ``rho`` widths on each
+    side to bound the transform families' search range.
     """
 
     alpha: float
@@ -222,6 +230,40 @@ def split_cp_batch(
 # full conformal prediction
 
 
+def _margin(
+    y: float,
+    data: Dataset,
+    x_new,
+    spec: ModelSpec,
+    kind: ScoreKind,
+    alpha: float,
+    opts: FitOptions | None = None,
+) -> float:
+    """Signed inclusion margin of one candidate response.
+
+    Appends (y, x_new) to the data, refits, and returns the candidate's
+    score minus the k-th smallest score of the other n points, with
+    k = ceil((1 - alpha)(n + 1)).  The candidate is in the conformal set
+    exactly when the margin is <= 0; the margin is -inf when k > n, where
+    every candidate is.  Measured against the k-th of all n + 1 scores
+    instead, it would be 0 across a whole range of y and give a root finder
+    no slope.  A fit that fails to converge raises rather than silently
+    excluding the candidate.
+    """
+    y_cand = float(y)
+    if not 0.0 < y_cand < 1.0:
+        raise ValueError("candidate must lie strictly in (0, 1)")
+    aug = data.augmented(y_cand, np.asarray(x_new, dtype=float))
+    model = fit(aug, spec, opts)
+    if not model.converged:
+        raise NonConvergence(f"augmented fit did not converge at candidate {y_cand:.6g}")
+    all_scores = score(kind, aug.y, model, aug.X)
+    k = math.ceil((1.0 - alpha) * aug.n)
+    if k > data.n:
+        return -math.inf
+    return float(all_scores[-1] - np.partition(all_scores[:-1], k - 1)[k - 1])
+
+
 def indicator(
     aug_candidate: float,
     data: Dataset,
@@ -238,17 +280,7 @@ def indicator(
     all n + 1 scores.  A fit that fails to converge raises rather than
     silently excluding the candidate.
     """
-    y_cand = float(aug_candidate)
-    if not 0.0 < y_cand < 1.0:
-        raise ValueError("candidate must lie strictly in (0, 1)")
-    aug = data.augmented(y_cand, np.asarray(x_new, dtype=float))
-    model = fit(aug, spec, opts)
-    if not model.converged:
-        raise NonConvergence(f"augmented fit did not converge at candidate {y_cand:.6g}")
-    all_scores = score(kind, aug.y, model, aug.X)
-    k = math.ceil((1.0 - alpha) * aug.n)
-    threshold = np.sort(all_scores)[k - 1]
-    return bool(all_scores[-1] <= threshold)
+    return _margin(aug_candidate, data, x_new, spec, kind, alpha, opts) <= 0.0
 
 
 def classical_gauss_interval(m: FittedModel, x_new, alpha: float) -> tuple[float, float]:
@@ -258,133 +290,78 @@ def classical_gauss_interval(m: FittedModel, x_new, alpha: float) -> tuple[float
     return center - half, center + half
 
 
-class _Memo:
-    """Optional cache around the inclusion indicator."""
+def _edge(margin, inside, outside, tol: float, guess: float) -> tuple[float, bool]:
+    """Locate the edge of the inclusion region between two points.
 
-    def __init__(self, func, enabled: bool):
-        self._func = func
-        self._cache: dict[float, bool] | None = {} if enabled else None
+    ``inside`` is a point (u, margin(u)) with margin <= 0.  ``outside`` is an
+    excluded point, or the end of the search range with margin ``None``; the
+    end itself is never evaluated.  Until an excluded point is known the
+    search probes ``guess`` (when it lies between the two) and then
+    extrapolates the secant through the last two included points, at most
+    ``EDGE_GROWTH`` times the last step and never past the range end, which
+    it approaches by halving.  Once one is known, Illinois regula falsi
+    closes the bracket.  Every probe keeps at least tol/2 from both ends of
+    the bracket, so each one shrinks it by that much.
 
-    def __call__(self, w: float) -> bool:
-        if self._cache is not None and w in self._cache:
-            return self._cache[w]
-        out = self._func(w)
-        if self._cache is not None:
-            self._cache[w] = out
-        return out
-
-
-def _bisect_edge(include, lo: float, hi: float, lo_inside: bool, tol: float) -> float:
-    """Locate a single inside/outside transition in (lo, hi).
-
-    One endpoint is inside the inclusion region and the other outside;
-    returns the inside endpoint of the final bracket, so the reported bound
-    is certified included (within tol of the true boundary).
+    Returns the inside end of a final bracket no wider than ``tol``, which
+    is certified included, and whether the region reached the range end.
     """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if include(mid) == lo_inside:
-            lo = mid
+    (a, fa), (b, fb) = inside, outside
+    sign = 1.0 if b > a else -1.0
+    prev = None  # the included point before ``a``, for the secant
+    kept = None  # the end the last probe left in place
+    while abs(b - a) > tol:
+        if fb is not None:
+            r = a - fa * (b - a) / (fb - fa)
+        elif prev is None:
+            r = guess if 0.0 < sign * (guess - a) < sign * (b - a) else 0.5 * (a + b)
         else:
-            hi = mid
-    return lo if lo_inside else hi
+            ratio = -fa / (fa - prev[1]) if fa > prev[1] else EDGE_GROWTH
+            r = a + (a - prev[0]) * min(ratio, EDGE_GROWTH)
+            if sign * (b - r) < 0.5 * tol:
+                r = 0.5 * (a + b)
+        # keep tol/2 from both ends of the bracket
+        r = sign * min(max(sign * r, sign * a + 0.5 * tol), sign * b - 0.5 * tol)
+        if r in (a, b):  # tol/2 is below the float spacing here
+            r = 0.5 * (a + b)
+            if r in (a, b):  # the bracket cannot shrink any further
+                break
+        m = margin(r)
+        if m > 0.0:
+            if kept == "inside":
+                fa *= 0.5
+            b, fb, kept = r, m, "inside"
+        else:
+            if kept == "outside" and fb is not None:
+                fb *= 0.5
+            prev, (a, fa), kept = (a, fa), (r, m), "outside"
+    return a, fb is None
 
 
-def _full_cp_beta(w0: float, cfg: FullConfig, include) -> PredictionInterval:
-    level = 1.0 - cfg.alpha
+def _search(margin, centre: float, lo: float, hi: float, tol: float, guesses):
+    """Inclusion region of ``margin`` within the range (lo, hi) of one coordinate.
 
-    if include(w0):
-        lower = _bisect_edge(include, 0.0, w0, lo_inside=False, tol=cfg.tolerance)
-        upper = _bisect_edge(include, w0, 1.0, lo_inside=True, tol=cfg.tolerance)
-        return PredictionInterval(lower, upper, level, Method.FULL)
-
-    # exploratory search: coarse grid over (0,1) with the endpoints pinned
-    # outside (exact 0/1 responses are outside every model's support)
-    known = {0.0: False, 1.0: False, w0: False, 0.5: include(0.5)}
-    while not any(known.values()):
+    Starts at ``centre``.  When the centre is excluded, a coarse expansion
+    evaluates the midpoint of every gap of ``tol`` or more between known
+    points (the range ends count as excluded) until one is included.  Then
+    :func:`_edge` locates each edge from the outermost included points, with
+    ``guesses`` as the first probes.  Returns None for an empty region, else
+    (lower, upper, whether the region reached a range end).
+    """
+    known = {lo: None, centre: margin(centre), hi: None}
+    while not any(m is not None and m <= 0.0 for m in known.values()):
         xs = sorted(known)
-        inserted = False
-        for a, b in zip(xs[:-1], xs[1:]):
-            if b - a >= cfg.tolerance:
-                mid = 0.5 * (a + b)
-                known[mid] = include(mid)
-                inserted = True
-        if not inserted:
-            return PredictionInterval(math.nan, math.nan, level, Method.FULL, empty=True)
-
+        mids = [0.5 * (a + b) for a, b in zip(xs[:-1], xs[1:]) if b - a >= tol]
+        if not mids:
+            return None
+        for w in mids:
+            known[w] = margin(w)
     xs = sorted(known)
-    trues = [w for w in xs if known[w]]
-    t_lo, t_hi = trues[0], trues[-1]
-    f_lo = max(w for w in xs if w < t_lo and not known[w])
-    f_hi = min(w for w in xs if w > t_hi and not known[w])
-    lower = _bisect_edge(include, f_lo, t_lo, lo_inside=False, tol=cfg.tolerance)
-    upper = _bisect_edge(include, t_hi, f_hi, lo_inside=True, tol=cfg.tolerance)
-    return PredictionInterval(lower, upper, level, Method.FULL)
-
-
-def _full_cp_transform(
-    base: FittedModel, x_new, cfg: FullConfig, include
-) -> PredictionInterval:
-    level = 1.0 - cfg.alpha
-    lo_cl, hi_cl = classical_gauss_interval(base, x_new, cfg.alpha)
-    width = hi_cl - lo_cl
-    grid_lo = max(lo_cl - cfg.rho * width, -LOGIT_LIMIT)
-    grid_hi = min(hi_cl + cfg.rho * width, LOGIT_LIMIT)
-    step = cfg.grid_step
-    count = int(math.floor((grid_hi - grid_lo) / step)) + 1
-
-    def include_idx(i: int) -> bool:
-        return include(float(expit(grid_lo + i * step)))
-
-    known: dict[int, bool] = {}
-    for i in sorted({0, (count - 1) // 2, count - 1}):
-        known[i] = include_idx(i)
-
-    # grid expansion with floor-midpoint index insertion
-    while not any(known.values()):
-        idxs = sorted(known)
-        inserted = False
-        for a, b in zip(idxs[:-1], idxs[1:]):
-            if b - a > 1:
-                mid = (a + b) // 2
-                known[mid] = include_idx(mid)
-                inserted = True
-        if not inserted:
-            return PredictionInterval(math.nan, math.nan, level, Method.FULL, empty=True)
-
-    idxs = sorted(known)
-    trues = [i for i in idxs if known[i]]
-    t_lo, t_hi = trues[0], trues[-1]
-
-    if t_lo == 0 or t_hi == count - 1:
-        warnings.warn(
-            "inclusion region reaches the extended grid boundary; consider a larger rho",
-            IntervalSearchWarning,
-        )
-
-    def locate(f: int, t: int) -> int:
-        # binary index search between a known-outside and known-inside index
-        while abs(t - f) > 1:
-            mid = (f + t) // 2
-            if include_idx(mid):
-                t = mid
-            else:
-                f = mid
-        return t
-
-    if t_lo > 0:
-        f_lo = max(i for i in idxs if i < t_lo and not known[i])
-        t_lo = locate(f_lo, t_lo)
-    if t_hi < count - 1:
-        f_hi = min(i for i in idxs if i > t_hi and not known[i])
-        t_hi = locate(f_hi, t_hi)
-
-    return PredictionInterval(
-        float(expit(grid_lo + t_lo * step)),
-        float(expit(grid_lo + t_hi * step)),
-        level,
-        Method.FULL,
-    )
+    hits = [i for i, u in enumerate(xs) if known[u] is not None and known[u] <= 0.0]
+    i, j = hits[0], hits[-1]
+    lower, lo_end = _edge(margin, (xs[i], known[xs[i]]), (xs[i - 1], known[xs[i - 1]]), tol, guesses[0])
+    upper, hi_end = _edge(margin, (xs[j], known[xs[j]]), (xs[j + 1], known[xs[j + 1]]), tol, guesses[1])
+    return lower, upper, lo_end or hi_end
 
 
 def _contiguity_probes(interval: PredictionInterval, include, tol: float) -> None:
@@ -427,29 +404,51 @@ def full_cp(
     spec: ModelSpec,
     kind: ScoreKind,
     cfg: FullConfig,
-    memoize: bool = True,
 ) -> PredictionInterval:
     """Full conformal prediction interval for one new covariate vector.
 
-    ``memoize=False`` disables the per-call indicator cache and exists for
-    testing; results are identical either way.
+    The beta families are searched in y on (0, 1) to ``cfg.tolerance``,
+    starting at the fitted mean; the transform families in logit over the
+    classical interval extended by ``cfg.rho`` widths on each side, to
+    ``cfg.grid_step``, starting at the fitted linear predictor.  The first
+    probe of each edge is where the base fit puts it: the split inversion
+    of the base model at the conformal quantile of its own scores.
     """
     x_new = np.asarray(x_new, dtype=float)
     base = fit(data, spec)
     if not base.converged:
         raise NonConvergence("base fit did not converge")
     warm = FitOptions(init=base.params)
+    level = 1.0 - cfg.alpha
 
-    include = _Memo(
-        lambda w: indicator(w, data, x_new, spec, kind, cfg.alpha, opts=warm), memoize
-    )
+    def margin(y: float) -> float:
+        return _margin(y, data, x_new, spec, kind, cfg.alpha, warm)
 
+    q = conformal_quantile(score(kind, data.y, base, data.X), cfg.alpha)
+    predicted = _invert_split(base, kind, q, x_new, level)
     if spec.family.is_beta:
-        w0 = float(base.predict_mean(x_new))
-        interval = _full_cp_beta(w0, cfg, include)
+        to_y, tol = float, cfg.tolerance
+        lo, hi, centre = 0.0, 1.0, float(base.predict_mean(x_new))
+        guesses = (predicted.lower, predicted.upper)
     else:
-        interval = _full_cp_transform(base, x_new, cfg, include)
+        to_y, tol = (lambda u: float(expit(u))), cfg.grid_step
+        lo_cl, hi_cl = classical_gauss_interval(base, x_new, cfg.alpha)
+        width = hi_cl - lo_cl
+        lo = max(lo_cl - cfg.rho * width, -LOGIT_LIMIT)
+        hi = min(hi_cl + cfg.rho * width, LOGIT_LIMIT)
+        centre = float(base.predict_linear(x_new))
+        with np.errstate(divide="ignore"):
+            guesses = tuple(float(np.log(y) - np.log1p(-y)) for y in (predicted.lower, predicted.upper))
 
-    probe_tol = cfg.tolerance if spec.family.is_beta else cfg.grid_step
-    _contiguity_probes(interval, include, probe_tol)
+    found = _search(lambda u: margin(to_y(u)), centre, lo, hi, tol, guesses)
+    if found is None:
+        return PredictionInterval(math.nan, math.nan, level, Method.FULL, empty=True)
+    lower, upper, at_end = found
+    if at_end and not spec.family.is_beta:
+        warnings.warn(
+            "inclusion region reaches the extended grid boundary; consider a larger rho",
+            IntervalSearchWarning,
+        )
+    interval = PredictionInterval(to_y(lower), to_y(upper), level, Method.FULL)
+    _contiguity_probes(interval, lambda y: margin(y) <= 0.0, tol)
     return interval

@@ -423,7 +423,15 @@ def _newton(lik: _Likelihood, x: np.ndarray, opts: FitOptions):
 
 
 def _ols_logit(lik: _Likelihood):
-    coef, *_ = np.linalg.lstsq(lik.Z, lik.z, rcond=None)
+    """OLS of logit(y) on the design, and the ML residual variance.
+
+    ``lstsq`` reports the design's rank with the same cutoff as
+    ``np.linalg.matrix_rank``, so a rank-deficient design raises
+    :class:`SingularDesign` here at no extra cost.
+    """
+    coef, _, rank, _ = np.linalg.lstsq(lik.Z, lik.z, rcond=None)
+    if rank < lik.k:
+        raise SingularDesign("design matrix with intercept is rank deficient")
     resid = lik.z - lik.Z @ coef
     sigma2 = float(resid @ resid) / lik.n  # maximum likelihood divisor
     return coef, max(sigma2, 1e-12)
@@ -463,13 +471,13 @@ def fit(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> Fitte
         raise FitError(f"need at least p + 2 = {data.p + 2} observations, got {data.n}")
     family = spec.family
     lik = _Likelihood(data, family)
-    if np.linalg.matrix_rank(lik.Z) < lik.Z.shape[1]:
-        raise SingularDesign("design matrix with intercept is rank deficient")
-
     if family is ModelFamily.TRANSFORM_HOMO:
         coef, sigma2 = _ols_logit(lik)
         params = np.concatenate([coef, [0.5 * np.log(sigma2)]])
         return _build(data, spec, params, lik.objective(params), converged=True, iterations=0)
+
+    if np.linalg.matrix_rank(lik.Z) < lik.k:
+        raise SingularDesign("design matrix with intercept is rank deficient")
 
     x0 = np.asarray(opts.init, dtype=float) if opts.init is not None else _initial_params(data, lik)
     _split_params(x0, data.p, family)  # validates the layout

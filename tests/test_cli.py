@@ -18,6 +18,7 @@ from unitcp.cli import (
     read_results_csv,
     _render_csv,
     INTERVAL_COLUMNS,
+    INTERVALS_SCHEMA,
 )
 from unitcp.datasets import bodyfat_path
 
@@ -121,6 +122,22 @@ def test_predict_rejects_mismatched_columns(tmp_path):
         "--output", str(tmp_path / "p.csv"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("bad_row", ["nan,0.5", "0.5,inf", "0.5", "0.5,0.5,0.5"])
+def test_predict_rejects_bad_covariate_rows(tmp_path, capsys, bad_row):
+    # non-finite cells and ragged rows fail like the training file does:
+    # a data error naming the row, not a numeric error or a silent interval
+    train = small_csv(tmp_path, n=60)
+    new = write(tmp_path, "new.csv", f"x1,x2\n0.0,0.0\n{bad_row}\n")
+    out = tmp_path / "p.csv"
+    code = main([
+        "predict", "--input", train, "--new", new, "--model", "m1",
+        "--method", "full", "--output", str(out),
+    ])
+    assert code == 2
+    assert "non-numeric cells in rows [2]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_single_cell(tmp_path):
@@ -283,7 +300,7 @@ def test_csv_round_trip_bit_identical(tmp_path):
         },
     ]
     path = tmp_path / "iv.csv"
-    path.write_text(_render_csv(INTERVAL_COLUMNS, rows, {"k": "v"}), encoding="utf-8")
+    path.write_text(_render_csv(INTERVALS_SCHEMA, INTERVAL_COLUMNS, rows, {"k": "v"}), encoding="utf-8")
     meta, back = read_results_csv(path)
     assert meta["k"] == "v"
     for orig, reread in zip(rows, back):

@@ -7,6 +7,7 @@ import pytest
 
 from unitcp import (
     BetaParams,
+    Dataset,
     FullConfig,
     Method,
     ModelFamily,
@@ -21,11 +22,15 @@ from unitcp import (
     expit,
     full_cp,
     indicator,
+    logit,
     norm_cdf,
     split_cp,
     split_cp_batch,
 )
-from unitcp.conformal import _invert_split, _split_fit
+from unitcp import conformal
+from unitcp.cli import ANALYSIS_BATTERY, load_csv
+from unitcp.conformal import _invert_split, _search, _split_fit
+from unitcp.datasets import bodyfat_path
 from unitcp.models import FitOptions, fit
 
 from conftest import make_scenario_data
@@ -224,14 +229,6 @@ def test_classical_gauss_interval():
         classical_gauss_interval(beta_model, np.zeros(3), 0.05)
 
 
-def test_full_cp_memoization_transparency():
-    data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 60, 10.0, seed=33)
-    cfg = FullConfig(0.1)
-    a = full_cp(data, x_new, M3, ScoreKind.QUANTILE, cfg, memoize=True)
-    b = full_cp(data, x_new, M3, ScoreKind.QUANTILE, cfg, memoize=False)
-    assert (a.lower, a.upper, a.empty) == (b.lower, b.upper, b.empty)
-
-
 def test_full_cp_nesting_in_alpha():
     data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 60, 10.0, seed=34)
     wide = full_cp(data, x_new, M3, ScoreKind.QUANTILE, FullConfig(0.1))
@@ -269,3 +266,144 @@ def test_full_cp_deterministic():
     a = full_cp(data, x_new, M3, ScoreKind.PEARSON, FullConfig(0.1))
     b = full_cp(data, x_new, M3, ScoreKind.PEARSON, FullConfig(0.1))
     assert (a.lower, a.upper) == (b.lower, b.upper)
+
+
+# ---------------------------------------------------------------------------
+# the full-CP edge search
+
+
+def exact_m1_raw_hull(data, x_new, alpha):
+    """Hull of the exact full conformal set of m1 with the raw score, in logit.
+
+    OLS residuals of the augmented data are affine in the candidate logit t,
+    r(t) = a + b t (Vovk, Gammerman & Shafer 2005, sec. 2.3), so point i
+    scores at least as high as the candidate exactly where the quadratic
+    (a_i + b_i t)^2 - (a_c + b_c t)^2 is non-negative.  Membership can only
+    change at the roots of these quadratics: counting at the midpoint of
+    every segment between consecutive roots gives the set exactly.
+    """
+    n = data.n
+    Z = np.column_stack([np.ones(n + 1), np.vstack([data.X, x_new])])
+    Q, _ = np.linalg.qr(Z)
+    z0 = np.append(logit(data.y), 0.0)
+    a = z0 - Q @ (Q.T @ z0)
+    b = -Q @ Q[-1]
+    b[-1] += 1.0
+    a_c, b_c, a, b = a[-1], b[-1], a[:-1], b[:-1]
+    quad, lin, const = b * b - b_c * b_c, 2.0 * (a * b - a_c * b_c), a * a - a_c * a_c
+    roots = np.concatenate([np.roots([qa, qb, qc]) for qa, qb, qc in zip(quad, lin, const)])
+    roots = np.unique(roots[np.isreal(roots)].real)
+    probes = np.concatenate([[roots[0] - 1.0], 0.5 * (roots[:-1] + roots[1:]), [roots[-1] + 1.0]])
+    higher = (a + np.outer(probes, b)) ** 2 >= (a_c + b_c * probes[:, None]) ** 2
+    k = math.ceil((1.0 - alpha) * (n + 1))
+    inside = higher.sum(axis=1) >= n - k + 1
+    assert not inside[0] and not inside[-1], "unbounded conformal set"
+    # segment j runs from roots[j - 1] to roots[j]
+    first, last = np.flatnonzero(inside)[[0, -1]]
+    return roots[first - 1], roots[last]
+
+
+def test_full_cp_m1_matches_exact_set():
+    cfg = FullConfig(0.1)
+    slack = cfg.grid_step * (1.0 + 1e-6) + 1e-9
+    for n in (30, 100, 1000):
+        for seed in range(20):
+            data, x_new, _ = make_scenario_data(Scenario.TRANSFORM_HOMO, n, 0.63, seed=1200 + seed)
+            iv = full_cp(data, x_new, M1, ScoreKind.RAW, cfg)
+            lo, hi = exact_m1_raw_hull(data, x_new, cfg.alpha)
+            assert abs(logit(iv.lower) - lo) <= slack
+            assert abs(logit(iv.upper) - hi) <= slack
+
+
+CERTIFIED_CASES = [
+    (M2, Scenario.TRANSFORM_HETERO, None, ScoreKind.PEARSON),
+    (M2, Scenario.TRANSFORM_HETERO, None, ScoreKind.QUANTILE),
+    (M3, Scenario.BETA_MEAN, 10.0, ScoreKind.PEARSON),
+    (M3, Scenario.BETA_MEAN, 10.0, ScoreKind.QUANTILE),
+    (M4, Scenario.BETA_MEAN_DISP, None, ScoreKind.PEARSON),
+    (M4, Scenario.BETA_MEAN_DISP, None, ScoreKind.QUANTILE),
+]
+
+
+@pytest.mark.parametrize("spec,scenario,disp,kind", CERTIFIED_CASES)
+def test_full_cp_edges_are_certified(spec, scenario, disp, kind):
+    # a cold-start fit includes each endpoint and excludes the point one
+    # search tolerance outside it
+    cfg = FullConfig(0.1)
+    for seed in range(3):
+        data, x_new, _ = make_scenario_data(scenario, 100, disp, seed=1300 + seed)
+        iv = full_cp(data, x_new, spec, kind, cfg)
+        for end, side in ((iv.lower, -1.0), (iv.upper, 1.0)):
+            if spec.family.is_beta:
+                out = end + side * cfg.tolerance
+            else:
+                out = float(expit(logit(end) + side * cfg.grid_step))
+            assert indicator(end, data, x_new, spec, kind, cfg.alpha)
+            assert not indicator(out, data, x_new, spec, kind, cfg.alpha)
+
+
+def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
+    data = load_csv(bodyfat_path())
+    n_test = round(0.1 * data.n)
+    perm = np.random.default_rng([1, 0]).permutation(data.n)
+    cons = Dataset(data.y[perm[n_test:]], data.X[perm[n_test:]])
+    calls = 0
+    real_fit = conformal.fit
+
+    def counting_fit(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(conformal, "fit", counting_fit)
+    intervals = 0
+    for i in perm[:n_test]:
+        for family, kind in ANALYSIS_BATTERY:
+            full_cp(cons, data.X[i], ModelSpec(family), kind, FullConfig(0.1))
+            intervals += 1
+    assert calls / intervals <= 16.0
+
+
+def _recording(margin):
+    calls = []
+
+    def wrapped(u):
+        calls.append(u)
+        return margin(u)
+
+    return wrapped, calls
+
+
+def test_search_expands_when_the_centre_is_excluded():
+    tol = 1e-4
+    margin, calls = _recording(lambda u: abs(u - 0.7) - 0.1)
+    lower, upper, at_end = _search(margin, 0.2, 0.0, 1.0, tol, (0.1, 0.3))
+    assert 0.6 <= lower < 0.6 + tol
+    assert 0.8 - tol < upper <= 0.8
+    assert not at_end
+    # every probe keeps tol/2 from the range ends and from every other probe
+    points = np.sort(np.concatenate([[0.0, 1.0], calls]))
+    assert np.min(np.diff(points)) >= 0.5 * tol * (1.0 - 1e-9)
+
+
+def test_search_walks_to_the_range_end_when_everything_is_included():
+    # k > n: every candidate is included and the margin is -inf
+    tol = 1e-4
+    lower, upper, at_end = _search(lambda u: -math.inf, 0.3, 0.0, 1.0, tol, (-math.inf, math.inf))
+    assert 0.0 < lower <= tol
+    assert 1.0 - tol <= upper < 1.0
+    assert at_end
+
+
+def test_search_reports_an_empty_region():
+    margin, calls = _recording(lambda u: 1.0)
+    assert _search(margin, 0.5, 0.0, 1.0, 1e-2, (0.4, 0.6)) is None
+    assert len(calls) < 2 / 1e-2 + 1
+
+
+def test_search_stops_at_float_resolution():
+    # a tolerance below the float spacing must not stall the bracket
+    lower, upper, at_end = _search(lambda u: abs(u - 0.3) - 0.1, 0.3, 0.0, 1.0, 1e-20, (0.25, 0.35))
+    assert lower == pytest.approx(0.2, abs=1e-15)
+    assert upper == pytest.approx(0.4, abs=1e-15)
+    assert not at_end
