@@ -11,7 +11,10 @@ each edge where the base fit predicts it, extrapolates by secant until a
 candidate is excluded, and closes the bracket by Illinois regula falsi,
 returning the included end of a bracket no wider than the resolution.
 The beta families are searched in y on (0, 1); the transform families on
-the logit scale over an extended classical prediction interval.
+the logit scale over an extended classical prediction interval.  Every
+refit of an interval starts from the parameters of the nearest candidate
+already fitted for it (the base fit for the first), and the augmented
+data are checked only in the appended row.
 """
 
 from __future__ import annotations
@@ -238,8 +241,8 @@ def _margin(
     kind: ScoreKind,
     alpha: float,
     opts: FitOptions | None = None,
-) -> float:
-    """Signed inclusion margin of one candidate response.
+) -> tuple[float, FittedModel]:
+    """Signed inclusion margin of one candidate response, and the refit.
 
     Appends (y, x_new) to the data, refits, and returns the candidate's
     score minus the k-th smallest score of the other n points, with
@@ -260,8 +263,8 @@ def _margin(
     all_scores = score(kind, aug.y, model, aug.X)
     k = math.ceil((1.0 - alpha) * aug.n)
     if k > data.n:
-        return -math.inf
-    return float(all_scores[-1] - np.partition(all_scores[:-1], k - 1)[k - 1])
+        return -math.inf, model
+    return float(all_scores[-1] - np.partition(all_scores[:-1], k - 1)[k - 1]), model
 
 
 def indicator(
@@ -280,7 +283,7 @@ def indicator(
     all n + 1 scores.  A fit that fails to converge raises rather than
     silently excluding the candidate.
     """
-    return _margin(aug_candidate, data, x_new, spec, kind, alpha, opts) <= 0.0
+    return _margin(aug_candidate, data, x_new, spec, kind, alpha, opts)[0] <= 0.0
 
 
 def classical_gauss_interval(m: FittedModel, x_new, alpha: float) -> tuple[float, float]:
@@ -413,16 +416,24 @@ def full_cp(
     ``cfg.grid_step``, starting at the fitted linear predictor.  The first
     probe of each edge is where the base fit puts it: the split inversion
     of the base model at the conformal quantile of its own scores.
+
+    Each refit starts from the parameters of the nearest candidate already
+    fitted for this interval, the first from the base fit.  Late probes of
+    an edge lie within a few resolutions of a fitted candidate, so their
+    refits start almost converged.
     """
     x_new = np.asarray(x_new, dtype=float)
     base = fit(data, spec)
     if not base.converged:
         raise NonConvergence("base fit did not converge")
-    warm = FitOptions(init=base.params)
     level = 1.0 - cfg.alpha
+    fitted: list[tuple[float, np.ndarray]] = []  # (candidate, refit parameters)
 
     def margin(y: float) -> float:
-        return _margin(y, data, x_new, spec, kind, cfg.alpha, warm)
+        init = min(fitted, key=lambda c: abs(c[0] - y))[1] if fitted else base.params
+        m, model = _margin(y, data, x_new, spec, kind, cfg.alpha, FitOptions(init=init))
+        fitted.append((y, model.params))
+        return m
 
     q = conformal_quantile(score(kind, data.y, base, data.X), cfg.alpha)
     predicted = _invert_split(base, kind, q, x_new, level)

@@ -18,7 +18,7 @@ convergence is judged by a relative gradient criterion.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sp
@@ -97,6 +97,9 @@ class Dataset:
 
     y: np.ndarray
     X: np.ndarray
+    # set once a fit has found the design with intercept to have full column
+    # rank; augmented copies inherit it, as an extra row cannot lower the rank
+    _full_rank: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float)
@@ -121,9 +124,28 @@ class Dataset:
         return self.X.shape[1]
 
     def augmented(self, y_new: float, x_new: np.ndarray) -> "Dataset":
-        """Return a copy with one extra observation appended."""
-        x_new = np.asarray(x_new, dtype=float).reshape(1, -1)
-        return Dataset(np.append(self.y, float(y_new)), np.vstack([self.X, x_new]))
+        """Return a copy with one extra observation appended.
+
+        Only the appended row is validated; the others already were.  A
+        design that a fit found to have full rank keeps that mark in the
+        copy, so refits of the copy skip the rank check.
+        """
+        y_new = float(y_new)
+        x_new = np.asarray(x_new, dtype=float).reshape(-1)
+        if x_new.shape != (self.p,):
+            raise ValueError(f"expected a covariate vector of length {self.p}, got {x_new.size}")
+        if not (np.isfinite(y_new) and np.all(np.isfinite(x_new))):
+            raise ValueError("appended observation contains non-finite entries")
+        if not 0.0 < y_new < 1.0:
+            raise ValueError("responses must lie strictly in (0, 1)")
+        aug = object.__new__(Dataset)
+        object.__setattr__(aug, "y", np.append(self.y, y_new))
+        object.__setattr__(aug, "X", np.vstack([self.X, x_new]))
+        object.__setattr__(aug, "_full_rank", self._full_rank)
+        return aug
+
+    def _mark_full_rank(self) -> None:
+        object.__setattr__(self, "_full_rank", True)
 
 
 @dataclass(frozen=True)
@@ -135,9 +157,10 @@ class FitOptions:
     the Newton iterations: a fit that has not met ``gtol`` by then is
     reported with ``converged=False``.  Fits whose MLE exists converge in a
     handful of iterations; the cap bounds the cost of those where it does
-    not and the iterates drift off.  ``init`` warm-starts the optimizer
-    (used heavily by full conformal prediction, which refits the same data
-    plus one candidate point many times).
+    not and the iterates drift off.  ``init`` warm-starts the optimizer.
+    Full conformal prediction refits the same data plus one candidate point
+    many times and passes the parameters of the nearest candidate already
+    fitted, which for the late probes of an edge are almost converged.
     """
 
     gtol: float = 1e-6
@@ -247,7 +270,8 @@ class _Likelihood:
     with its analytic gradient and Hessian.  The mean submodel's design
     ``Z`` is the intercept plus the covariates; the dispersion submodel's
     ``Zd`` is ``Z`` too, or the intercept column alone when the family has
-    no dispersion covariates.
+    no dispersion covariates.  In that case the dispersion is one scalar
+    for all n rows, and its special functions are evaluated once.
     """
 
     def __init__(self, data: Dataset, family: ModelFamily):
@@ -255,6 +279,8 @@ class _Likelihood:
         self.n, self.k = data.n, data.p + 1
         self.Z = np.column_stack([np.ones(data.n), data.X])
         self.Zd = self.Z if family.models_dispersion else self.Z[:, :1]
+        # how many rows each entry of the dispersion linear predictor stands for
+        self.reps = 1 if family.models_dispersion else data.n
         if family.is_beta:
             self.log_y = np.log(data.y)
             self.log_1my = np.log1p(-data.y)
@@ -263,63 +289,70 @@ class _Likelihood:
             self.z = logit(data.y)
 
     def _linear(self, x: np.ndarray):
-        return self.Z @ x[: self.k], self.Zd @ x[self.k :]
+        disp = self.Z @ x[self.k :] if self.family.models_dispersion else x[self.k]
+        return self.Z @ x[: self.k], disp
+
+    def _beta(self, x: np.ndarray):
+        """Beta mean, precision and shapes a = mu phi, b = (1 - mu) phi."""
+        mean_lin, disp_lin = self._linear(x)
+        mu = np.minimum(np.maximum(sp.expit(mean_lin), EPS), 1.0 - EPS)
+        phi = np.exp(disp_lin)
+        return mu, phi, mu * phi, (1.0 - mu) * phi
 
     def objective(self, x: np.ndarray) -> float:
         """Mean negative log-likelihood at a single parameter vector."""
-        mean_lin, disp_lin = self._linear(x)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if self.family.is_beta:
-                mu = np.clip(sp.expit(mean_lin), EPS, 1.0 - EPS)
-                phi = np.exp(disp_lin)
-                a = mu * phi
-                b = (1.0 - mu) * phi
+                mu, phi, a, b = self._beta(x)
                 total = (
-                    sp.gammaln(phi).sum()
+                    self.reps * np.sum(sp.gammaln(phi))
                     - sp.gammaln(a).sum()
                     - sp.gammaln(b).sum()
                     + (a - 1.0) @ self.log_y
                     + (b - 1.0) @ self.log_1my
                 )
             else:
+                mean_lin, disp_lin = self._linear(x)
                 resid = (self.z - mean_lin) * np.exp(-disp_lin)
-                total = -0.5 * LOG_2PI * self.n - disp_lin.sum() - 0.5 * (resid @ resid)
+                total = -0.5 * LOG_2PI * self.n - self.reps * np.sum(disp_lin) - 0.5 * (resid @ resid)
         out = -float(total) / self.n
         return out if np.isfinite(out) else np.inf
 
-    def _rows(self, x: np.ndarray):
+    def rows(self, x: np.ndarray):
         """Per-row log-likelihood derivatives in the mean and dispersion
-        linear predictors, and the fitted values they were computed from."""
-        mean_lin, disp_lin = self._linear(x)
-        if self.family.is_beta:
-            mu = np.clip(sp.expit(mean_lin), EPS, 1.0 - EPS)
-            phi = np.exp(disp_lin)
-            a = mu * phi
-            b = (1.0 - mu) * phi
-            dig_a = sp.digamma(a)
-            dig_b = sp.digamma(b)
-            d_mean = phi * mu * (1.0 - mu) * (self.z - dig_a + dig_b)
-            d_disp = phi * (
-                sp.digamma(phi)
-                - mu * dig_a
-                - (1.0 - mu) * dig_b
-                + mu * self.log_y
-                + (1.0 - mu) * self.log_1my
-            )
-            return d_mean, d_disp, (mu, phi, a, b)
-        sigma = np.exp(disp_lin)
-        resid = (self.z - mean_lin) / sigma
-        return resid / sigma, resid * resid - 1.0, (sigma,)
+        linear predictors, and the fitted values they were computed from.
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Analytic gradient of the mean negative log-likelihood."""
+        One such pass at a point serves both :meth:`gradient_from` and
+        :meth:`hessian_from`.
+        """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            d_mean, d_disp, _ = self._rows(x)
+            if self.family.is_beta:
+                mu, phi, a, b = self._beta(x)
+                dig_a = sp.digamma(a)
+                dig_b = sp.digamma(b)
+                d_mean = phi * mu * (1.0 - mu) * (self.z - dig_a + dig_b)
+                d_disp = phi * (
+                    sp.digamma(phi)
+                    - mu * dig_a
+                    - (1.0 - mu) * dig_b
+                    + mu * self.log_y
+                    + (1.0 - mu) * self.log_1my
+                )
+                return d_mean, d_disp, (mu, phi, a, b)
+            mean_lin, disp_lin = self._linear(x)
+            sigma = np.exp(disp_lin)
+            resid = (self.z - mean_lin) / sigma
+            return resid / sigma, resid * resid - 1.0, (sigma,)
+
+    def gradient_from(self, rows) -> np.ndarray:
+        """Analytic gradient of the mean negative log-likelihood from :meth:`rows`."""
+        d_mean, d_disp, _ = rows
+        with np.errstate(over="ignore", invalid="ignore"):
             g = -np.concatenate([self.Z.T @ d_mean, self.Zd.T @ d_disp]) / self.n
         return np.where(np.isfinite(g), g, 0.0)
 
-    def hessian(self, x: np.ndarray, expected: bool = False) -> np.ndarray:
-        """Analytic Hessian of the mean negative log-likelihood.
+    def hessian_from(self, rows, expected: bool = False) -> np.ndarray:
+        """Analytic Hessian of the mean negative log-likelihood from :meth:`rows`.
 
         With ``expected`` it is the expected (Fisher) information instead,
         which is positive definite for every family at a full-rank design.
@@ -328,15 +361,17 @@ class _Likelihood:
         (Ferrari & Cribari-Neto 2004; Simas, Barreto-Souza & Rocha 2010 for
         varying precision).  Non-finite entries are left for the caller.
         """
+        d_mean, d_disp, fitted = rows
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            d_mean, d_disp, fitted = self._rows(x)
             if self.family.is_beta:
                 mu, phi, a, b = fitted
-                tri_a, tri_b = _trigamma(a), _trigamma(b)
+                n = self.n  # one trigamma call for a, b and phi
+                tri = _trigamma(np.concatenate([a, b, np.atleast_1d(phi)]))
+                tri_a, tri_b, tri_phi = tri[:n], tri[n : 2 * n], tri[2 * n :]
                 slope = mu * (1.0 - mu)  # d mu / d mean_lin
                 w_mm = (phi * slope) ** 2 * (tri_a + tri_b)
                 w_md = phi * phi * slope * (mu * tri_a - (1.0 - mu) * tri_b)
-                w_dd = phi * phi * (mu * mu * tri_a + (1.0 - mu) ** 2 * tri_b - _trigamma(phi))
+                w_dd = phi * phi * (mu * mu * tri_a + (1.0 - mu) ** 2 * tri_b - tri_phi)
                 if not expected:
                     w_mm = w_mm - (1.0 - 2.0 * mu) * d_mean
                     w_md = w_md - d_mean
@@ -353,6 +388,14 @@ class _Likelihood:
             H[k:, :k] = H[:k, k:].T
             H[k:, k:] = (self.Zd.T * w_dd) @ self.Zd
         return H / self.n
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """Analytic gradient of the mean negative log-likelihood."""
+        return self.gradient_from(self.rows(x))
+
+    def hessian(self, x: np.ndarray, expected: bool = False) -> np.ndarray:
+        """Analytic Hessian (or, with ``expected``, the Fisher information)."""
+        return self.hessian_from(self.rows(x), expected)
 
 
 def loglik(data: Dataset, spec: ModelSpec, params) -> float:
@@ -371,16 +414,17 @@ def _relative_gradient(g: np.ndarray, x: np.ndarray, f: float) -> float:
     return float(np.max(np.abs(g) * np.maximum(1.0, np.abs(x))) / max(1.0, abs(f)))
 
 
-def _newton_direction(lik: _Likelihood, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+def _newton_direction(lik: _Likelihood, rows, g: np.ndarray) -> np.ndarray | None:
     """-H^-1 g for the observed Hessian, or for the expected information where
     the Hessian is not positive definite; None when neither is usable.
 
-    Where the iterates drift off (no MLE), the entries can span so many
-    orders of magnitude that the solve finds the matrix singular even after
-    a Cholesky factorization succeeded; that counts as unusable too.
+    ``rows`` is the derivative pass at the current point.  Where the
+    iterates drift off (no MLE), the entries can span so many orders of
+    magnitude that the solve finds the matrix singular even after a
+    Cholesky factorization succeeded; that counts as unusable too.
     """
     for expected in (False, True):
-        H = lik.hessian(x, expected)
+        H = lik.hessian_from(rows, expected)
         if not np.all(np.isfinite(H)):
             continue
         try:
@@ -395,18 +439,21 @@ def _newton(lik: _Likelihood, x: np.ndarray, opts: FitOptions):
     """Damped Newton iterations from ``x`` until the relative gradient meets
     ``opts.gtol``, no step is acceptable, or ``opts.max_iter`` is reached.
 
-    Steps are halved until they satisfy the Armijo condition.  Near an
-    optimum the objective is flat to rounding noise while the gradient may
-    not yet have converged, so the condition allows an increase of up to
-    ``1e3 * eps * |f|``.  Returns (x, f, g, iterations).
+    Each accepted point gets one derivative pass, from which both the
+    gradient and the Hessian are built.  Steps are halved until they
+    satisfy the Armijo condition.  Near an optimum the objective is flat to
+    rounding noise while the gradient may not yet have converged, so the
+    condition allows an increase of up to ``1e3 * eps * |f|``.  Returns
+    (x, f, whether the gradient test was met, iterations).
     """
-    f, g = lik.objective(x), lik.gradient(x)
+    f, rows = lik.objective(x), lik.rows(x)
+    g = lik.gradient_from(rows)
     for it in range(opts.max_iter):
         if _relative_gradient(g, x, f) <= opts.gtol:
-            return x, f, g, it
-        step = _newton_direction(lik, x, g)
+            return x, f, True, it
+        step = _newton_direction(lik, rows, g)
         if step is None:
-            return x, f, g, it
+            return x, f, False, it
         descent = ARMIJO_C * float(g @ step)
         slack = 1e3 * np.finfo(float).eps * max(1.0, abs(f))
         t = 1.0
@@ -417,9 +464,10 @@ def _newton(lik: _Likelihood, x: np.ndarray, opts: FitOptions):
                 break
             t *= 0.5
         else:
-            return x, f, g, it
-        x, f, g = x_try, f_try, lik.gradient(x_try)
-    return x, f, g, opts.max_iter
+            return x, f, False, it
+        x, f, rows = x_try, f_try, lik.rows(x_try)
+        g = lik.gradient_from(rows)
+    return x, f, _relative_gradient(g, x, f) <= opts.gtol, opts.max_iter
 
 
 def _ols_logit(lik: _Likelihood):
@@ -438,6 +486,14 @@ def _ols_logit(lik: _Likelihood):
 
 
 def _initial_params(data: Dataset, lik: _Likelihood) -> np.ndarray:
+    """Cold start: moments of the OLS fit of logit(y), or for m4 the m3 fit.
+
+    Either way an OLS fit of the design runs first and raises
+    :class:`SingularDesign` for a rank-deficient one.
+    """
+    if lik.family is ModelFamily.BETA_MEAN_DISP:
+        base = fit(data, ModelSpec(ModelFamily.BETA_MEAN))
+        return np.concatenate([base.params, np.zeros(data.p)])
     coef, sigma2 = _ols_logit(lik)
     if lik.family is ModelFamily.TRANSFORM_HETERO:
         return np.concatenate([coef, [0.5 * np.log(sigma2)], np.zeros(data.p)])
@@ -446,12 +502,7 @@ def _initial_params(data: Dataset, lik: _Likelihood) -> np.ndarray:
     mu = np.clip(expit(lik.Z @ coef), EPS, 1.0 - EPS)
     phi_points = 1.0 / (sigma2 * mu * (1.0 - mu)) - 1.0
     phi0 = float(np.clip(np.mean(phi_points), 0.5, 1e4))
-    if lik.family is ModelFamily.BETA_MEAN:
-        return np.concatenate([coef, [np.log(phi0)]])
-    base = fit(data, ModelSpec(ModelFamily.BETA_MEAN))
-    return np.concatenate(
-        [[base.mean_intercept], base.mean_coef, [base.disp_intercept], np.zeros(data.p)]
-    )
+    return np.concatenate([coef, [np.log(phi0)]])
 
 
 def fit(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> FittedModel:
@@ -464,7 +515,9 @@ def fit(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> Fitte
     fit that has not met ``opts.gtol`` when no step improves the objective
     or ``opts.max_iter`` iterations have run is reported with
     ``converged=False``.  Never raises for non-convergence; raises
-    :class:`SingularDesign` for a rank-deficient design.
+    :class:`SingularDesign` for a rank-deficient design.  The rank check
+    comes with the OLS fit of a cold start; a warm start runs it as an SVD,
+    except on an augmented copy of a design that already passed it.
     """
     opts = opts or FitOptions()
     if data.n < data.p + 2:
@@ -473,16 +526,19 @@ def fit(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> Fitte
     lik = _Likelihood(data, family)
     if family is ModelFamily.TRANSFORM_HOMO:
         coef, sigma2 = _ols_logit(lik)
+        data._mark_full_rank()
         params = np.concatenate([coef, [0.5 * np.log(sigma2)]])
         return _build(data, spec, params, lik.objective(params), converged=True, iterations=0)
 
-    if np.linalg.matrix_rank(lik.Z) < lik.k:
-        raise SingularDesign("design matrix with intercept is rank deficient")
-
-    x0 = np.asarray(opts.init, dtype=float) if opts.init is not None else _initial_params(data, lik)
+    if opts.init is None:
+        x0 = _initial_params(data, lik)
+    else:
+        if not data._full_rank and np.linalg.matrix_rank(lik.Z) < lik.k:
+            raise SingularDesign("design matrix with intercept is rank deficient")
+        x0 = np.asarray(opts.init, dtype=float)
+    data._mark_full_rank()
     _split_params(x0, data.p, family)  # validates the layout
-    x, f, g, iterations = _newton(lik, x0, opts)
-    converged = _relative_gradient(g, x, f) <= opts.gtol
+    x, f, converged, iterations = _newton(lik, x0, opts)
     return _build(data, spec, x, f, converged, iterations)
 
 

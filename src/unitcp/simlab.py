@@ -134,7 +134,13 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Aggregate of one coverage experiment."""
+    """Aggregate of one coverage experiment.
+
+    ``avg_cpu_seconds`` and ``cpu_sd`` are the mean and standard deviation
+    of the process CPU time (``time.process_time``) of one interval,
+    measured in the process that computed it; a redrawn replication counts
+    only its final attempt.
+    """
 
     coverage: float
     avg_width: float
@@ -236,7 +242,7 @@ def _coverage_rep(task) -> tuple[bool, float, float, int]:
         data = Dataset(y[:-1], X[:-1])
         x_new, y_new = X[-1], y[-1]
         split_seed = int(rng.integers(0, 2**63 - 1))
-        start = time.perf_counter()
+        start = time.process_time()
         try:
             if method is Method.SPLIT:
                 interval = split_cp(
@@ -249,7 +255,7 @@ def _coverage_rep(task) -> tuple[bool, float, float, int]:
         except FitError:
             failures += 1
             continue
-        cpu = time.perf_counter() - start
+        cpu = time.process_time() - start
         return interval.contains(y_new), interval.width, cpu, failures
     raise FitError(f"replication {rep} failed after {_MAX_REPLACEMENTS} seed replacements")
 

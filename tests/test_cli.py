@@ -348,11 +348,21 @@ def test_simulate_full_method_cell(tmp_path):
     assert rows[0]["replications"] == 3
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    """scipy.optimize dominated start-up time; the package no longer needs it."""
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether ``import unitcp.cli`` in a fresh interpreter loads ``module``."""
     import unitcp
 
     env = dict(os.environ, PYTHONPATH=str(Path(unitcp.__file__).resolve().parents[1]))
-    probe = "import sys, unitcp.cli; print('scipy.optimize' in sys.modules)"
+    probe = f"import sys, unitcp.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    """scipy.optimize dominated start-up time; the package no longer needs it."""
+    assert not _loaded_by_cli_import("scipy.optimize")
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    """scipy.linalg adds start-up time; factorizations and solves use np.linalg."""
+    assert not _loaded_by_cli_import("scipy.linalg")

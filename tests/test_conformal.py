@@ -268,6 +268,23 @@ def test_full_cp_deterministic():
     assert (a.lower, a.upper) == (b.lower, b.upper)
 
 
+@pytest.mark.parametrize("spec,scenario,disp,kind", [
+    (M1, Scenario.TRANSFORM_HOMO, 0.63, ScoreKind.RAW),
+    (M2, Scenario.TRANSFORM_HETERO, None, ScoreKind.PEARSON),
+    (M3, Scenario.BETA_MEAN, 10.0, ScoreKind.QUANTILE),
+    (M4, Scenario.BETA_MEAN_DISP, None, ScoreKind.QUANTILE),
+])
+def test_full_cp_keeps_no_state_between_intervals(spec, scenario, disp, kind):
+    # the warm starts of one interval must not leak into the next
+    data, x_new, _ = make_scenario_data(scenario, 60, disp, seed=41)
+    other = data.X[0]
+    cfg = FullConfig(0.1)
+    first = full_cp(data, x_new, spec, kind, cfg)
+    full_cp(data, other, spec, kind, cfg)
+    again = full_cp(data, x_new, spec, kind, cfg)
+    assert (first.lower, first.upper) == (again.lower, again.upper)
+
+
 # ---------------------------------------------------------------------------
 # the full-CP edge search
 
@@ -342,18 +359,42 @@ def test_full_cp_edges_are_certified(spec, scenario, disp, kind):
             assert not indicator(out, data, x_new, spec, kind, cfg.alpha)
 
 
+@pytest.mark.parametrize("spec,scenario,disp,kind", CERTIFIED_CASES)
+def test_refit_warm_started_from_a_neighbour_matches_a_cold_fit(spec, scenario, disp, kind):
+    # full_cp starts each refit from the nearest candidate already fitted
+    data, x_new, _ = make_scenario_data(scenario, 100, disp, seed=1400)
+    candidates = np.linspace(0.02, 0.98, 9)
+    prev = fit(data.augmented(candidates[0], x_new), spec)
+    for y in candidates[1:]:
+        aug = data.augmented(y, x_new)
+        cold = fit(aug, spec)
+        warm = fit(aug, spec, FitOptions(init=prev.params))
+        assert warm.converged == cold.converged
+        np.testing.assert_allclose(warm.params, cold.params, rtol=0.0, atol=1e-6)
+        m_warm, _ = conformal._margin(y, data, x_new, spec, kind, 0.1, FitOptions(init=prev.params))
+        m_cold, _ = conformal._margin(y, data, x_new, spec, kind, 0.1)
+        # both fits stop at the gradient tolerance, some 1e-7 apart in m4's parameters
+        assert m_warm == pytest.approx(m_cold, abs=1e-5)
+        prev = warm
+
+
 def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
     data = load_csv(bodyfat_path())
     n_test = round(0.1 * data.n)
     perm = np.random.default_rng([1, 0]).permutation(data.n)
     cons = Dataset(data.y[perm[n_test:]], data.X[perm[n_test:]])
     calls = 0
+    warm_iterations = []  # Newton iterations of the m2-m4 warm refits
     real_fit = conformal.fit
 
     def counting_fit(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return real_fit(*args, **kwargs)
+        model = real_fit(*args, **kwargs)
+        opts = args[2] if len(args) > 2 else kwargs.get("opts")
+        if opts is not None and opts.init is not None and model.family is not ModelFamily.TRANSFORM_HOMO:
+            warm_iterations.append(model.iterations)
+        return model
 
     monkeypatch.setattr(conformal, "fit", counting_fit)
     intervals = 0
@@ -362,6 +403,7 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
             full_cp(cons, data.X[i], ModelSpec(family), kind, FullConfig(0.1))
             intervals += 1
     assert calls / intervals <= 16.0
+    assert np.mean(warm_iterations) <= 2.75
 
 
 def _recording(margin):

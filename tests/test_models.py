@@ -66,6 +66,18 @@ def test_dataset_validation():
     assert aug.n == 4 and aug.y[-1] == 0.5
 
 
+def test_augmented_validates_the_appended_row():
+    d = Dataset(np.array([0.2, 0.4, 0.6]), np.arange(6.0).reshape(3, 2))
+    for y_new in (np.nan, np.inf, 0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            d.augmented(y_new, np.array([1.0, 2.0]))
+    for x_new in ([np.nan, 1.0], [1.0, np.inf], [1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError):
+            d.augmented(0.5, np.array(x_new))
+    aug = d.augmented(0.5, np.array([[7.0, 8.0]]))
+    assert np.array_equal(aug.X[-1], [7.0, 8.0]) and np.array_equal(aug.y[:-1], d.y)
+
+
 def test_fit_requires_enough_rows():
     d = Dataset(np.array([0.2, 0.4, 0.6]), np.arange(9.0).reshape(3, 3))
     with pytest.raises(FitError):
@@ -78,6 +90,21 @@ def test_singular_design_detected():
     y = expit(rng.normal(size=30))
     with pytest.raises(SingularDesign):
         fit(Dataset(y, X), M1)
+
+
+@pytest.mark.parametrize("spec", (M2, M3, M4), ids=lambda s: s.family.value)
+def test_singular_design_detected_for_every_start(spec):
+    # the constant column duplicates the intercept
+    rng = np.random.default_rng(0)
+    X = np.column_stack([np.ones(30), rng.normal(size=30)])
+    y = expit(rng.normal(size=30))
+    init = np.zeros(4 if spec is M3 else 6)
+    parent = Dataset(y, X)
+    for data in (parent, parent.augmented(0.5, [1.0, 0.3])):  # the parent was never fitted
+        with pytest.raises(SingularDesign):
+            fit(data, spec)
+        with pytest.raises(SingularDesign):
+            fit(data, spec, FitOptions(init=init))
 
 
 # ---------------------------------------------------------------------------
