@@ -6,15 +6,18 @@ inequality in closed form.  Full conformal refits the model for candidate
 responses.  Each candidate has a signed margin, its score minus the k-th
 smallest score of the other n points, which is <= 0 exactly when the
 candidate is in the conformal set and moves continuously with it.  One
-edge search serves all four families: from the fitted centre it probes
-each edge where the base fit predicts it, extrapolates by secant until a
+edge search serves all four families: it probes first the two edges the
+base fit predicts, and the fitted centre only when neither is included;
+from the outermost included points it extrapolates by secant until a
 candidate is excluded, and closes the bracket by Illinois regula falsi,
 returning the included end of a bracket no wider than the resolution.
 The beta families are searched in y on (0, 1); the transform families on
-the logit scale over an extended classical prediction interval.  Every
-refit of an interval starts from the parameters of the nearest candidate
-already fitted for it (the base fit for the first), and the augmented
-data are checked only in the appended row.
+the logit scale over an extended classical prediction interval.  The
+base fit is made once per dataset and family and kept on the dataset.
+Every refit of an interval starts from the parameters of the candidates
+already fitted for it, interpolated between the two nearest (the base
+fit for the first), and the augmented data are checked only in the
+appended row.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ LOGIT_LIMIT = 36.0
 
 # the edge search extrapolates at most this many times its last step
 EDGE_GROWTH = 4.0
+
+# probes aimed at an estimated edge go this many resolutions inside it
+EDGE_AIM = 0.25
 
 # quantile-score inversion clamps its CDF arguments here (matches the score clamp)
 _U_CLIP = 1e-12
@@ -156,10 +162,21 @@ def conformal_quantile(scores, alpha: float) -> float:
         raise ValueError("need at least one calibration score")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    k = math.ceil((1.0 - alpha) * (m + 1))
+    k = _conformal_rank(alpha, m)
     if k > m:
         return float("inf")
     return float(s[k - 1])
+
+
+def _conformal_rank(alpha: float, m: int) -> int:
+    """ceil((1 - alpha) (m + 1)), the rank of the conformal quantile among m scores.
+
+    In floating point (1 - 0.7) * 10 is 3.0000000000000004, which ``ceil``
+    would lift to 4.  The product is lowered by 1e-9 first: more than its
+    rounding error for m up to about a million, and less than its distance
+    to the next integer for any alpha given to a few digits.
+    """
+    return math.ceil((1.0 - alpha) * (m + 1) - 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +278,7 @@ def _margin(
     if not model.converged:
         raise NonConvergence(f"augmented fit did not converge at candidate {y_cand:.6g}")
     all_scores = score(kind, aug.y, model, aug.X)
-    k = math.ceil((1.0 - alpha) * aug.n)
+    k = _conformal_rank(alpha, data.n)
     if k > data.n:
         return -math.inf, model
     return float(all_scores[-1] - np.partition(all_scores[:-1], k - 1)[k - 1]), model
@@ -293,34 +310,43 @@ def classical_gauss_interval(m: FittedModel, x_new, alpha: float) -> tuple[float
     return center - half, center + half
 
 
-def _edge(margin, inside, outside, tol: float, guess: float) -> tuple[float, bool]:
+def _edge(margin, inside, outside, tol: float, prev=None) -> tuple[float, bool]:
     """Locate the edge of the inclusion region between two points.
 
     ``inside`` is a point (u, margin(u)) with margin <= 0.  ``outside`` is an
     excluded point, or the end of the search range with margin ``None``; the
     end itself is never evaluated.  Until an excluded point is known the
-    search probes ``guess`` (when it lies between the two) and then
-    extrapolates the secant through the last two included points, at most
-    ``EDGE_GROWTH`` times the last step and never past the range end, which
-    it approaches by halving.  Once one is known, Illinois regula falsi
-    closes the bracket.  Every probe keeps at least tol/2 from both ends of
-    the bracket, so each one shrinks it by that much.
+    search extrapolates the secant through the last two included points,
+    at most ``EDGE_GROWTH`` times the last step and never past the range
+    end, which it approaches by halving.  ``prev`` stands in for the point
+    before ``inside`` in the first step, when it lies on the far side of
+    ``inside`` from ``outside``; it may carry an estimated margin, as it
+    only steers the extrapolation.  Without it the first step probes the
+    midpoint.  Once an excluded point is known, Illinois regula falsi
+    closes the bracket.  Secant and regula falsi probes aim ``EDGE_AIM``
+    times ``tol`` inside the edge they estimate: refits stop at a gradient
+    tolerance, so fits of one candidate from different starts can differ
+    in the margin by some 1e-7, and a probe on the edge itself would leave
+    an endpoint whose inclusion depends on the start.  Every probe keeps
+    at least tol/2 from both ends of the bracket, so each one shrinks it
+    by that much.
 
     Returns the inside end of a final bracket no wider than ``tol``, which
     is certified included, and whether the region reached the range end.
     """
     (a, fa), (b, fb) = inside, outside
     sign = 1.0 if b > a else -1.0
-    prev = None  # the included point before ``a``, for the secant
+    if prev is not None and sign * (a - prev[0]) <= 0.0:
+        prev = None
     kept = None  # the end the last probe left in place
     while abs(b - a) > tol:
         if fb is not None:
-            r = a - fa * (b - a) / (fb - fa)
+            r = a - fa * (b - a) / (fb - fa) - sign * EDGE_AIM * tol
         elif prev is None:
-            r = guess if 0.0 < sign * (guess - a) < sign * (b - a) else 0.5 * (a + b)
+            r = 0.5 * (a + b)
         else:
             ratio = -fa / (fa - prev[1]) if fa > prev[1] else EDGE_GROWTH
-            r = a + (a - prev[0]) * min(ratio, EDGE_GROWTH)
+            r = a + (a - prev[0]) * min(ratio, EDGE_GROWTH) - sign * EDGE_AIM * tol
             if sign * (b - r) < 0.5 * tol:
                 r = 0.5 * (a + b)
         # keep tol/2 from both ends of the bracket
@@ -341,18 +367,32 @@ def _edge(margin, inside, outside, tol: float, guess: float) -> tuple[float, boo
     return a, fb is None
 
 
-def _search(margin, centre: float, lo: float, hi: float, tol: float, guesses):
+def _search(margin, centre, lo: float, hi: float, tol: float, guesses):
     """Inclusion region of ``margin`` within the range (lo, hi) of one coordinate.
 
-    Starts at ``centre``.  When the centre is excluded, a coarse expansion
-    evaluates the midpoint of every gap of ``tol`` or more between known
-    points (the range ends count as excluded) until one is included.  Then
-    :func:`_edge` locates each edge from the outermost included points, with
-    ``guesses`` as the first probes.  Returns None for an empty region, else
-    (lower, upper, whether the region reached a range end).
+    ``guesses`` are where the edges are expected and ``centre`` is a point
+    (u, estimated margin) where the region is expected.  The guesses,
+    moved ``EDGE_AIM`` times ``tol`` inward as :func:`_edge` moves its probes,
+    are evaluated first where they lie at least tol/2 inside the range,
+    and the centre only when neither of them is included.  When the centre is excluded too, a
+    coarse expansion evaluates the midpoint of every gap of ``tol`` or more
+    between known points (the range ends count as excluded) until one is
+    included.  Then :func:`_edge` locates each edge from the outermost
+    included points, with ``centre`` to steer its first secant step; the
+    estimate never certifies an endpoint.  Returns None for an empty
+    region, else (lower, upper, whether the region reached a range end).
     """
-    known = {lo: None, centre: margin(centre), hi: None}
-    while not any(m is not None and m <= 0.0 for m in known.values()):
+    known = {lo: None, hi: None}
+
+    def found() -> bool:
+        return any(m is not None and m <= 0.0 for m in known.values())
+
+    for g in (guesses[0] + EDGE_AIM * tol, guesses[1] - EDGE_AIM * tol):
+        if lo + 0.5 * tol <= g <= hi - 0.5 * tol:
+            known[g] = margin(g)
+    if not found() and centre[0] not in known:
+        known[centre[0]] = margin(centre[0])
+    while not found():
         xs = sorted(known)
         mids = [0.5 * (a + b) for a, b in zip(xs[:-1], xs[1:]) if b - a >= tol]
         if not mids:
@@ -362,8 +402,8 @@ def _search(margin, centre: float, lo: float, hi: float, tol: float, guesses):
     xs = sorted(known)
     hits = [i for i, u in enumerate(xs) if known[u] is not None and known[u] <= 0.0]
     i, j = hits[0], hits[-1]
-    lower, lo_end = _edge(margin, (xs[i], known[xs[i]]), (xs[i - 1], known[xs[i - 1]]), tol, guesses[0])
-    upper, hi_end = _edge(margin, (xs[j], known[xs[j]]), (xs[j + 1], known[xs[j + 1]]), tol, guesses[1])
+    lower, lo_end = _edge(margin, (xs[i], known[xs[i]]), (xs[i - 1], known[xs[i - 1]]), tol, centre)
+    upper, hi_end = _edge(margin, (xs[j], known[xs[j]]), (xs[j + 1], known[xs[j + 1]]), tol, centre)
     return lower, upper, lo_end or hi_end
 
 
@@ -401,6 +441,14 @@ def _contiguity_probes(interval: PredictionInterval, include, tol: float) -> Non
             return
 
 
+def _base_fit(data: Dataset, spec: ModelSpec) -> FittedModel:
+    """The fit of ``data`` itself, made once per dataset and family."""
+    base = data._base_fits.get(spec)
+    if base is None:
+        base = data._base_fits[spec] = fit(data, spec)
+    return base
+
+
 def full_cp(
     data: Dataset,
     x_new,
@@ -410,28 +458,46 @@ def full_cp(
 ) -> PredictionInterval:
     """Full conformal prediction interval for one new covariate vector.
 
-    The beta families are searched in y on (0, 1) to ``cfg.tolerance``,
-    starting at the fitted mean; the transform families in logit over the
+    The beta families are searched in y on (0, 1) to ``cfg.tolerance``
+    around the fitted mean; the transform families in logit over the
     classical interval extended by ``cfg.rho`` widths on each side, to
-    ``cfg.grid_step``, starting at the fitted linear predictor.  The first
-    probe of each edge is where the base fit puts it: the split inversion
-    of the base model at the conformal quantile of its own scores.
+    ``cfg.grid_step``, around the fitted linear predictor.  The first
+    probes are just inside the edges where the base fit puts them: the
+    split inversion of the base model at the conformal quantile of its
+    own scores.  The fitted centre is refitted only when neither is included;
+    otherwise its score under the base fit, less that quantile, steers
+    the first secant step of each edge.
 
-    Each refit starts from the parameters of the nearest candidate already
-    fitted for this interval, the first from the base fit.  Late probes of
-    an edge lie within a few resolutions of a fitted candidate, so their
-    refits start almost converged.
+    The base fit is made once per dataset and family and kept on the
+    dataset, so the intervals of several new points share it.  Each refit
+    starts from the straight line through the parameters of the two
+    nearest candidates already fitted for this interval, when the
+    candidate lies between them or beyond the nearer by at most their
+    spacing, and otherwise from the nearest one (the first from the base
+    fit).  Late probes of an edge lie within a few resolutions of fitted
+    candidates, so their refits start almost converged.
     """
     x_new = np.asarray(x_new, dtype=float)
-    base = fit(data, spec)
+    base = _base_fit(data, spec)
     if not base.converged:
         raise NonConvergence("base fit did not converge")
     level = 1.0 - cfg.alpha
     fitted: list[tuple[float, np.ndarray]] = []  # (candidate, refit parameters)
 
+    def start(y: float) -> np.ndarray:
+        if not fitted:
+            return base.params
+        near = sorted(fitted, key=lambda c: abs(c[0] - y))
+        y1, p1 = near[0]
+        if len(near) > 1 and near[1][0] != y1:
+            y2, p2 = near[1]
+            t = (y - y1) / (y1 - y2)  # in [-1/2, 0] between the two
+            if t <= 1.0:
+                return p1 + t * (p1 - p2)
+        return p1
+
     def margin(y: float) -> float:
-        init = min(fitted, key=lambda c: abs(c[0] - y))[1] if fitted else base.params
-        m, model = _margin(y, data, x_new, spec, kind, cfg.alpha, FitOptions(init=init))
+        m, model = _margin(y, data, x_new, spec, kind, cfg.alpha, FitOptions(init=start(y)))
         fitted.append((y, model.params))
         return m
 
@@ -450,8 +516,9 @@ def full_cp(
         centre = float(base.predict_linear(x_new))
         with np.errstate(divide="ignore"):
             guesses = tuple(float(np.log(y) - np.log1p(-y)) for y in (predicted.lower, predicted.upper))
+    estimate = float(score(kind, to_y(centre), base, x_new)) - q
 
-    found = _search(lambda u: margin(to_y(u)), centre, lo, hi, tol, guesses)
+    found = _search(lambda u: margin(to_y(u)), (centre, estimate), lo, hi, tol, guesses)
     if found is None:
         return PredictionInterval(math.nan, math.nan, level, Method.FULL, empty=True)
     lower, upper, at_end = found

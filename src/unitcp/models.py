@@ -88,11 +88,20 @@ class ModelSpec:
     family: ModelFamily
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Responses strictly inside (0,1) plus a covariate matrix.
 
     The intercept column is implicit and must not be part of ``X``.
+    ``y`` and ``X`` are read-only views of the arrays passed in, not
+    copies: writing through them raises, but the caller must not change
+    the arrays it passed either, since fits of the dataset are memoized on
+    it (see :func:`unitcp.conformal.full_cp`).
     """
 
     y: np.ndarray
@@ -100,6 +109,9 @@ class Dataset:
     # set once a fit has found the design with intercept to have full column
     # rank; augmented copies inherit it, as an extra row cannot lower the rank
     _full_rank: bool = field(default=False, init=False, repr=False, compare=False)
+    # full conformal's base fits of this dataset, by ModelSpec; augmented
+    # copies start empty, as their data differ
+    _base_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float)
@@ -112,8 +124,8 @@ class Dataset:
             raise ValueError("dataset contains non-finite entries")
         if np.any(y <= 0.0) or np.any(y >= 1.0):
             raise ValueError("responses must lie strictly in (0, 1)")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", _read_only(y.view()))
+        object.__setattr__(self, "X", _read_only(X.view()))
 
     @property
     def n(self) -> int:
@@ -128,7 +140,8 @@ class Dataset:
 
         Only the appended row is validated; the others already were.  A
         design that a fit found to have full rank keeps that mark in the
-        copy, so refits of the copy skip the rank check.
+        copy, so refits of the copy skip the rank check; the memo of base
+        fits starts empty.
         """
         y_new = float(y_new)
         x_new = np.asarray(x_new, dtype=float).reshape(-1)
@@ -139,9 +152,10 @@ class Dataset:
         if not 0.0 < y_new < 1.0:
             raise ValueError("responses must lie strictly in (0, 1)")
         aug = object.__new__(Dataset)
-        object.__setattr__(aug, "y", np.append(self.y, y_new))
-        object.__setattr__(aug, "X", np.vstack([self.X, x_new]))
+        object.__setattr__(aug, "y", _read_only(np.append(self.y, y_new)))
+        object.__setattr__(aug, "X", _read_only(np.vstack([self.X, x_new])))
         object.__setattr__(aug, "_full_rank", self._full_rank)
+        object.__setattr__(aug, "_base_fits", {})
         return aug
 
     def _mark_full_rank(self) -> None:
@@ -159,8 +173,11 @@ class FitOptions:
     handful of iterations; the cap bounds the cost of those where it does
     not and the iterates drift off.  ``init`` warm-starts the optimizer.
     Full conformal prediction refits the same data plus one candidate point
-    many times and passes the parameters of the nearest candidate already
-    fitted, which for the late probes of an edge are almost converged.
+    many times and passes the straight line through the parameters of the
+    two nearest candidates already fitted, evaluated at the new one (or
+    those of the nearest, when the new one lies beyond it by more than the
+    two are apart), which for the late probes of an edge are almost
+    converged.
     """
 
     gtol: float = 1e-6

@@ -47,6 +47,13 @@ def test_conformal_quantile_forced_examples():
     assert conformal_quantile([1.0, 2.0], 0.05) == math.inf
 
 
+def test_conformal_quantile_rank_is_exact():
+    # (1 - 0.7) * 10 is 3.0000000000000004 in floating point
+    assert conformal_quantile(np.arange(1.0, 10.0), 0.7) == 3.0
+    for alpha, k in ((0.18, 123), (0.42, 87), (0.58, 63)):  # ceil((1 - alpha) 150)
+        assert conformal_quantile(np.arange(1.0, 150.0), alpha) == k
+
+
 def test_conformal_quantile_keeps_ties():
     assert conformal_quantile([2.0, 2.0, 2.0, 7.0], 0.5) == 2.0
 
@@ -275,7 +282,8 @@ def test_full_cp_deterministic():
     (M4, Scenario.BETA_MEAN_DISP, None, ScoreKind.QUANTILE),
 ])
 def test_full_cp_keeps_no_state_between_intervals(spec, scenario, disp, kind):
-    # the warm starts of one interval must not leak into the next
+    # the warm starts of one interval must not leak into the next, and the
+    # base fit kept on the dataset must give what a fresh one does
     data, x_new, _ = make_scenario_data(scenario, 60, disp, seed=41)
     other = data.X[0]
     cfg = FullConfig(0.1)
@@ -283,6 +291,10 @@ def test_full_cp_keeps_no_state_between_intervals(spec, scenario, disp, kind):
     full_cp(data, other, spec, kind, cfg)
     again = full_cp(data, x_new, spec, kind, cfg)
     assert (first.lower, first.upper) == (again.lower, again.upper)
+    assert spec in data._base_fits
+    assert not data.augmented(0.5, x_new)._base_fits
+    fresh = full_cp(Dataset(data.y.copy(), data.X.copy()), x_new, spec, kind, cfg)
+    assert (fresh.lower, fresh.upper) == (again.lower, again.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +395,18 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
     n_test = round(0.1 * data.n)
     perm = np.random.default_rng([1, 0]).permutation(data.n)
     cons = Dataset(data.y[perm[n_test:]], data.X[perm[n_test:]])
-    calls = 0
+    calls = cold = 0
     warm_iterations = []  # Newton iterations of the m2-m4 warm refits
     real_fit = conformal.fit
 
     def counting_fit(*args, **kwargs):
-        nonlocal calls
+        nonlocal calls, cold
         calls += 1
         model = real_fit(*args, **kwargs)
         opts = args[2] if len(args) > 2 else kwargs.get("opts")
-        if opts is not None and opts.init is not None and model.family is not ModelFamily.TRANSFORM_HOMO:
+        if opts is None or opts.init is None:
+            cold += 1
+        elif model.family is not ModelFamily.TRANSFORM_HOMO:
             warm_iterations.append(model.iterations)
         return model
 
@@ -402,8 +416,9 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
         for family, kind in ANALYSIS_BATTERY:
             full_cp(cons, data.X[i], ModelSpec(family), kind, FullConfig(0.1))
             intervals += 1
-    assert calls / intervals <= 16.0
-    assert np.mean(warm_iterations) <= 2.75
+    assert calls / intervals <= 11.5
+    assert cold == 4  # one base fit per family: every test point shares the dataset
+    assert np.mean(warm_iterations) <= 2.4
 
 
 def _recording(margin):
@@ -419,7 +434,9 @@ def _recording(margin):
 def test_search_expands_when_the_centre_is_excluded():
     tol = 1e-4
     margin, calls = _recording(lambda u: abs(u - 0.7) - 0.1)
-    lower, upper, at_end = _search(margin, 0.2, 0.0, 1.0, tol, (0.1, 0.3))
+    lower, upper, at_end = _search(margin, (0.2, -0.1), 0.0, 1.0, tol, (0.1, 0.3))
+    # the guesses, each a quarter tolerance inward, then the centre
+    assert calls[:3] == pytest.approx([0.1 + 0.25 * tol, 0.3 - 0.25 * tol, 0.2], abs=1e-15)
     assert 0.6 <= lower < 0.6 + tol
     assert 0.8 - tol < upper <= 0.8
     assert not at_end
@@ -428,10 +445,35 @@ def test_search_expands_when_the_centre_is_excluded():
     assert np.min(np.diff(points)) >= 0.5 * tol * (1.0 - 1e-9)
 
 
+@pytest.mark.parametrize("estimate", [-0.2, -50.0, 0.3])
+def test_search_skips_the_centre_when_both_guesses_are_included(estimate):
+    # the centre's estimated margin only steers the first secant steps
+    tol = 1e-4
+    margin, calls = _recording(lambda u: abs(u - 0.5) - 0.2)
+    lower, upper, at_end = _search(margin, (0.5, estimate), 0.0, 1.0, tol, (0.35, 0.65))
+    assert 0.5 not in calls
+    assert 0.3 <= lower < 0.3 + tol
+    assert 0.7 - tol < upper <= 0.7
+    assert not at_end
+
+
+@pytest.mark.parametrize("guesses", [(0.3, 0.7), (0.25, 0.72), (0.4, 0.6)])
+def test_search_endpoints_keep_clear_of_the_edge(guesses):
+    # refits stop at a gradient tolerance, so a margin within rounding of 0
+    # may change sign with the fit's start: probes aimed at an estimated
+    # edge go a quarter tolerance inside it
+    tol = 1e-4
+    lower, upper, _ = _search(lambda u: abs(u - 0.5) - 0.2, (0.5, -0.2), 0.0, 1.0, tol, guesses)
+    assert 0.3 + 0.1 * tol < lower < 0.3 + tol
+    assert 0.7 - tol < upper < 0.7 - 0.1 * tol
+
+
 def test_search_walks_to_the_range_end_when_everything_is_included():
     # k > n: every candidate is included and the margin is -inf
     tol = 1e-4
-    lower, upper, at_end = _search(lambda u: -math.inf, 0.3, 0.0, 1.0, tol, (-math.inf, math.inf))
+    lower, upper, at_end = _search(
+        lambda u: -math.inf, (0.3, -math.inf), 0.0, 1.0, tol, (-math.inf, math.inf)
+    )
     assert 0.0 < lower <= tol
     assert 1.0 - tol <= upper < 1.0
     assert at_end
@@ -439,13 +481,15 @@ def test_search_walks_to_the_range_end_when_everything_is_included():
 
 def test_search_reports_an_empty_region():
     margin, calls = _recording(lambda u: 1.0)
-    assert _search(margin, 0.5, 0.0, 1.0, 1e-2, (0.4, 0.6)) is None
+    assert _search(margin, (0.5, -1.0), 0.0, 1.0, 1e-2, (0.4, 0.6)) is None
     assert len(calls) < 2 / 1e-2 + 1
 
 
 def test_search_stops_at_float_resolution():
     # a tolerance below the float spacing must not stall the bracket
-    lower, upper, at_end = _search(lambda u: abs(u - 0.3) - 0.1, 0.3, 0.0, 1.0, 1e-20, (0.25, 0.35))
+    lower, upper, at_end = _search(
+        lambda u: abs(u - 0.3) - 0.1, (0.3, -0.1), 0.0, 1.0, 1e-20, (0.25, 0.35)
+    )
     assert lower == pytest.approx(0.2, abs=1e-15)
     assert upper == pytest.approx(0.4, abs=1e-15)
     assert not at_end

@@ -66,6 +66,19 @@ def test_dataset_validation():
     assert aug.n == 4 and aug.y[-1] == 0.5
 
 
+def test_dataset_arrays_are_read_only_views():
+    y, X = np.array([0.2, 0.4, 0.6]), np.arange(6.0).reshape(3, 2)
+    d = Dataset(y, X)
+    assert np.shares_memory(d.y, y) and np.shares_memory(d.X, X)
+    aug = d.augmented(0.5, np.array([9.0, 9.0]))
+    for data in (d, aug):
+        with pytest.raises(ValueError):
+            data.y[0] = 0.3
+        with pytest.raises(ValueError):
+            data.X[0, 0] = 1.0
+    assert y.flags.writeable and X.flags.writeable  # the caller's arrays are untouched
+
+
 def test_augmented_validates_the_appended_row():
     d = Dataset(np.array([0.2, 0.4, 0.6]), np.arange(6.0).reshape(3, 2))
     for y_new in (np.nan, np.inf, 0.0, 1.0, -0.5, 1.5):
