@@ -14,10 +14,13 @@ returning the included end of a bracket no wider than the resolution.
 The beta families are searched in y on (0, 1); the transform families on
 the logit scale over an extended classical prediction interval.  The
 base fit is made once per dataset and family and kept on the dataset.
-Every refit of an interval starts from the parameters of the candidates
-already fitted for it, interpolated between the two nearest (the base
-fit for the first), and the augmented data are checked only in the
-appended row.
+The refits of an interval share one candidate workspace, built and
+validated once: the design of the n rows plus the new covariate row,
+with the response transforms, of which each candidate rewrites only its
+own row.  A refit is one fit of that workspace, and the n + 1 scores come
+from the fitted values of its last derivative pass.  Every refit starts
+from the parameters of the candidates already fitted for the interval,
+interpolated between the two nearest (the base fit for the first).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +40,12 @@ from .models import (
     FittedModel,
     ModelSpec,
     NonConvergence,
+    _Likelihood,
+    _solve,
     fit,
 )
 from .numeric import BetaParams, beta_quantile, expit, norm_cdf, norm_quantile
-from .scores import ScoreKind, score
+from .scores import ScoreKind, _score_fitted, score
 
 __all__ = [
     "Method",
@@ -64,6 +70,10 @@ EDGE_GROWTH = 4.0
 
 # probes aimed at an estimated edge go this many resolutions inside it
 EDGE_AIM = 0.25
+
+# where in its side's range each contiguity probe looks: the first three
+# draws of np.random.default_rng(0).uniform(0.05, 0.9)
+PROBE_FRACTIONS = (0.5914174342232362, 0.27931870669928976, 0.08482749534576549)
 
 # quantile-score inversion clamps its CDF arguments here (matches the score clamp)
 _U_CLIP = 1e-12
@@ -250,38 +260,47 @@ def split_cp_batch(
 # full conformal prediction
 
 
+class _Refit(NamedTuple):
+    """One candidate's inclusion margin and the refit behind it."""
+
+    margin: float
+    params: np.ndarray
+    iterations: int
+
+
 def _margin(
     y: float,
-    data: Dataset,
-    x_new,
-    spec: ModelSpec,
+    ws: _Likelihood,
     kind: ScoreKind,
     alpha: float,
     opts: FitOptions | None = None,
-) -> tuple[float, FittedModel]:
-    """Signed inclusion margin of one candidate response, and the refit.
+) -> _Refit:
+    """Signed inclusion margin of one candidate response, and its refit.
 
-    Appends (y, x_new) to the data, refits, and returns the candidate's
-    score minus the k-th smallest score of the other n points, with
-    k = ceil((1 - alpha)(n + 1)).  The candidate is in the conformal set
-    exactly when the margin is <= 0; the margin is -inf when k > n, where
-    every candidate is.  Measured against the k-th of all n + 1 scores
-    instead, it would be 0 across a whole range of y and give a root finder
-    no slope.  A fit that fails to converge raises rather than silently
-    excluding the candidate.
+    ``ws`` is a candidate workspace, ``_Likelihood(data, family, x_new)``:
+    the n rows of the data plus the row of ``x_new``.  The candidate y is
+    written into that row, the family is refitted on the workspace, and
+    the n + 1 scores are taken from the fitted values of the refit's last
+    derivative pass.  The margin is the candidate's score minus the k-th
+    smallest score of the other n points, with k = ceil((1 - alpha)(n + 1)).
+    The candidate is in the conformal set exactly when the margin is <= 0;
+    the margin is -inf when k > n, where every candidate is.  Measured
+    against the k-th of all n + 1 scores instead, it would be 0 across a
+    whole range of y and give a root finder no slope.  A fit that fails to
+    converge raises rather than silently excluding the candidate.
     """
-    y_cand = float(y)
-    if not 0.0 < y_cand < 1.0:
-        raise ValueError("candidate must lie strictly in (0, 1)")
-    aug = data.augmented(y_cand, np.asarray(x_new, dtype=float))
-    model = fit(aug, spec, opts)
-    if not model.converged:
-        raise NonConvergence(f"augmented fit did not converge at candidate {y_cand:.6g}")
-    all_scores = score(kind, aug.y, model, aug.X)
-    k = _conformal_rank(alpha, data.n)
-    if k > data.n:
-        return -math.inf, model
-    return float(all_scores[-1] - np.partition(all_scores[:-1], k - 1)[k - 1]), model
+    ws.set_candidate(y)
+    params, _, converged, iterations, fitted = _solve(ws, opts or FitOptions())
+    if not converged:
+        raise NonConvergence(f"augmented fit did not converge at candidate {ws.y[-1]:.6g}")
+    response = ws.y if ws.family.is_beta else ws.z
+    all_scores = _score_fitted(kind, ws.family, response, fitted[0], fitted[1])
+    n = ws.n - 1
+    k = _conformal_rank(alpha, n)
+    if k > n:
+        return _Refit(-math.inf, params, iterations)
+    margin = float(all_scores[-1] - np.partition(all_scores[:-1], k - 1)[k - 1])
+    return _Refit(margin, params, iterations)
 
 
 def indicator(
@@ -298,9 +317,11 @@ def indicator(
     Appends (candidate, x_new) to the data, refits, and checks whether the
     candidate's score is within the ceil((1 - alpha)(n + 1))-th smallest of
     all n + 1 scores.  A fit that fails to converge raises rather than
-    silently excluding the candidate.
+    silently excluding the candidate.  Without ``opts`` the refit starts
+    cold.
     """
-    return _margin(aug_candidate, data, x_new, spec, kind, alpha, opts)[0] <= 0.0
+    ws = _Likelihood(data, spec.family, x_new)
+    return _margin(aug_candidate, ws, kind, alpha, opts).margin <= 0.0
 
 
 def classical_gauss_interval(m: FittedModel, x_new, alpha: float) -> tuple[float, float]:
@@ -416,7 +437,6 @@ def _contiguity_probes(interval: PredictionInterval, include, tol: float) -> Non
     """
     if interval.empty:
         return
-    rng = np.random.default_rng(0)
     sides = []
     if interval.lower > 10.0 * tol:
         sides.append((tol, interval.lower - tol))
@@ -426,7 +446,7 @@ def _contiguity_probes(interval: PredictionInterval, include, tol: float) -> Non
         return
     for k in range(3):
         lo, hi = sides[k % len(sides)]
-        w = float(lo + (hi - lo) * rng.uniform(0.05, 0.9))
+        w = float(lo + (hi - lo) * PROBE_FRACTIONS[k])
         try:
             hit = include(w)
         except FitError:  # diagnostics must not abort the interval
@@ -475,7 +495,9 @@ def full_cp(
     candidate lies between them or beyond the nearer by at most their
     spacing, and otherwise from the nearest one (the first from the base
     fit).  Late probes of an edge lie within a few resolutions of fitted
-    candidates, so their refits start almost converged.
+    candidates, so their refits start almost converged.  All refits of the
+    call share one candidate workspace (see :func:`_margin`), which is
+    dropped when the call returns.
     """
     x_new = np.asarray(x_new, dtype=float)
     base = _base_fit(data, spec)
@@ -496,10 +518,12 @@ def full_cp(
                 return p1 + t * (p1 - p2)
         return p1
 
+    ws = _Likelihood(data, spec.family, x_new)
+
     def margin(y: float) -> float:
-        m, model = _margin(y, data, x_new, spec, kind, cfg.alpha, FitOptions(init=start(y)))
-        fitted.append((y, model.params))
-        return m
+        refit = _margin(y, ws, kind, cfg.alpha, FitOptions(init=start(y)))
+        fitted.append((y, refit.params))
+        return refit.margin
 
     q = conformal_quantile(score(kind, data.y, base, data.X), cfg.alpha)
     predicted = _invert_split(base, kind, q, x_new, level)

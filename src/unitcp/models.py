@@ -17,13 +17,15 @@ convergence is judged by a relative gradient criterion.
 
 from __future__ import annotations
 
+import copy
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sp
 
-from .numeric import EPS, _trigamma, expit, logit
+from .numeric import EPS, _trigamma, expit
 
 __all__ = [
     "ModelFamily",
@@ -93,6 +95,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _checked_row(x_new, p: int) -> np.ndarray:
+    """A new observation's covariates as a finite vector of length ``p``."""
+    x_new = np.asarray(x_new, dtype=float).reshape(-1)
+    if x_new.shape != (p,):
+        raise ValueError(f"expected a covariate vector of length {p}, got {x_new.size}")
+    if not np.all(np.isfinite(x_new)):
+        raise ValueError("appended observation contains non-finite entries")
+    return x_new
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Responses strictly inside (0,1) plus a covariate matrix.
@@ -141,13 +153,13 @@ class Dataset:
         Only the appended row is validated; the others already were.  A
         design that a fit found to have full rank keeps that mark in the
         copy, so refits of the copy skip the rank check; the memo of base
-        fits starts empty.
+        fits starts empty.  Full conformal prediction does not copy: its
+        refits rewrite the last row of one workspace (``_Likelihood`` with
+        ``x_new``).
         """
         y_new = float(y_new)
-        x_new = np.asarray(x_new, dtype=float).reshape(-1)
-        if x_new.shape != (self.p,):
-            raise ValueError(f"expected a covariate vector of length {self.p}, got {x_new.size}")
-        if not (np.isfinite(y_new) and np.all(np.isfinite(x_new))):
+        x_new = _checked_row(x_new, self.p)
+        if not np.isfinite(y_new):
             raise ValueError("appended observation contains non-finite entries")
         if not 0.0 < y_new < 1.0:
             raise ValueError("responses must lie strictly in (0, 1)")
@@ -172,12 +184,12 @@ class FitOptions:
     reported with ``converged=False``.  Fits whose MLE exists converge in a
     handful of iterations; the cap bounds the cost of those where it does
     not and the iterates drift off.  ``init`` warm-starts the optimizer.
-    Full conformal prediction refits the same data plus one candidate point
-    many times and passes the straight line through the parameters of the
-    two nearest candidates already fitted, evaluated at the new one (or
-    those of the nearest, when the new one lies beyond it by more than the
-    two are apart), which for the late probes of an edge are almost
-    converged.
+    Full conformal prediction refits one workspace of the data plus a
+    candidate row many times, and passes the straight line through the
+    parameters of the two nearest candidates already fitted, evaluated at
+    the new one (or those of the nearest, when the new one lies beyond it
+    by more than the two are apart), which for the late probes of an edge
+    are almost converged.  The closed-form family ignores ``init``.
     """
 
     gtol: float = 1e-6
@@ -280,139 +292,185 @@ def _split_params(params: np.ndarray, p: int, family: ModelFamily):
 
 
 class _Likelihood:
-    """Per-dataset likelihood workspace.
+    """Likelihood workspace of one design: what a fit needs, built once.
 
-    Precomputes the designs and response transforms once per fit and
-    provides the mean negative log-likelihood (the optimizer's objective)
-    with its analytic gradient and Hessian.  The mean submodel's design
-    ``Z`` is the intercept plus the covariates; the dispersion submodel's
-    ``Zd`` is ``Z`` too, or the intercept column alone when the family has
-    no dispersion covariates.  In that case the dispersion is one scalar
-    for all n rows, and its special functions are evaluated once.
+    Holds the designs and the response transforms and provides, in one
+    pass at a parameter vector (:meth:`evaluate`), the mean negative
+    log-likelihood (the optimizer's objective), the per-row derivatives its
+    analytic gradient and Hessian are built from, and the fitted values
+    they came from.  The mean submodel's design ``Z`` is the intercept plus
+    the covariates; the dispersion submodel's design is ``Z`` too, or its
+    first ``kd`` = 1 column, the intercept, when the family has no
+    dispersion covariates.  In that case the dispersion is one scalar for
+    all rows, and its special functions are evaluated once.
+
+    With ``x_new`` the workspace is full conformal's candidate workspace:
+    the rows of ``data`` plus one row with covariates ``x_new``, validated
+    once, whose response :meth:`set_candidate` writes before each refit.
+    Nothing else changes between candidates.
     """
 
-    def __init__(self, data: Dataset, family: ModelFamily):
+    def __init__(self, data: Dataset, family: ModelFamily, x_new=None):
+        X, y = data.X, data.y
+        if x_new is not None:
+            X = np.vstack([X, _checked_row(x_new, data.p)])
+            y = np.append(y, 0.5)  # a placeholder until set_candidate
+        self.n, self.k = X.shape[0], data.p + 1
+        self.Z = np.column_stack([np.ones(self.n), X])
+        self.ZT = np.ascontiguousarray(self.Z.T)
+        self._set_family(family)
+        # a rank check of the design has passed (the parent's, or this one's)
+        self.full_rank = data._full_rank
+        self._pinv = None
+        self.y = y
+        self.log_y = np.log(y)
+        self.log_1my = np.log1p(-y)
+        self.z = self.log_y - self.log_1my  # logit(y)
+
+    def _set_family(self, family: ModelFamily) -> None:
         self.family = family
-        self.n, self.k = data.n, data.p + 1
-        self.Z = np.column_stack([np.ones(data.n), data.X])
-        self.Zd = self.Z if family.models_dispersion else self.Z[:, :1]
+        self.kd = self.k if family.models_dispersion else 1
         # how many rows each entry of the dispersion linear predictor stands for
-        self.reps = 1 if family.models_dispersion else data.n
-        if family.is_beta:
-            self.log_y = np.log(data.y)
-            self.log_1my = np.log1p(-data.y)
-            self.z = self.log_y - self.log_1my
-        else:
-            self.z = logit(data.y)
+        self.reps = 1 if family.models_dispersion else self.n
+
+    def set_candidate(self, y: float) -> None:
+        """Write the candidate response ``y`` and its transforms into the last row."""
+        y = float(y)
+        if not 0.0 < y < 1.0:
+            raise ValueError("candidate must lie strictly in (0, 1)")
+        self.y[-1] = y
+        self.log_y[-1] = log_y = math.log(y)
+        self.log_1my[-1] = log_1my = math.log1p(-y)
+        self.z[-1] = log_y - log_1my
+
+    def pinv(self) -> np.ndarray:
+        """Pseudo-inverse of the design, from one SVD per workspace.
+
+        Raises :class:`SingularDesign` when the design is rank deficient, by
+        the cutoff of ``np.linalg.matrix_rank``.
+        """
+        if self._pinv is None:
+            u, s, vt = np.linalg.svd(self.Z, full_matrices=False)
+            if s[-1] <= s[0] * max(self.Z.shape) * np.finfo(float).eps:
+                raise SingularDesign("design matrix with intercept is rank deficient")
+            self.full_rank = True
+            self._pinv = (vt.T / s) @ u.T
+        return self._pinv
 
     def _linear(self, x: np.ndarray):
         disp = self.Z @ x[self.k :] if self.family.models_dispersion else x[self.k]
         return self.Z @ x[: self.k], disp
 
-    def _beta(self, x: np.ndarray):
-        """Beta mean, precision and shapes a = mu phi, b = (1 - mu) phi."""
-        mean_lin, disp_lin = self._linear(x)
-        mu = np.minimum(np.maximum(sp.expit(mean_lin), EPS), 1.0 - EPS)
-        phi = np.exp(disp_lin)
-        return mu, phi, mu * phi, (1.0 - mu) * phi
+    def evaluate(self, x: np.ndarray):
+        """Objective and derivative pass at a single parameter vector.
 
-    def objective(self, x: np.ndarray) -> float:
-        """Mean negative log-likelihood at a single parameter vector."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.family.is_beta:
-                mu, phi, a, b = self._beta(x)
-                total = (
-                    self.reps * np.sum(sp.gammaln(phi))
-                    - sp.gammaln(a).sum()
-                    - sp.gammaln(b).sum()
-                    + (a - 1.0) @ self.log_y
-                    + (b - 1.0) @ self.log_1my
-                )
-            else:
-                mean_lin, disp_lin = self._linear(x)
-                resid = (self.z - mean_lin) * np.exp(-disp_lin)
-                total = -0.5 * LOG_2PI * self.n - self.reps * np.sum(disp_lin) - 0.5 * (resid @ resid)
-        out = -float(total) / self.n
-        return out if np.isfinite(out) else np.inf
-
-    def rows(self, x: np.ndarray):
-        """Per-row log-likelihood derivatives in the mean and dispersion
-        linear predictors, and the fitted values they were computed from.
-
-        One such pass at a point serves both :meth:`gradient_from` and
-        :meth:`hessian_from`.
+        Returns the mean negative log-likelihood (inf outside the valid
+        region) and ``rows``: the per-row log-likelihood derivatives in the
+        mean and dispersion linear predictors, and the fitted values they
+        were computed from -- (mu, phi, the shapes [a, b, phi]) for the beta
+        families, (linear predictor, sigma) for the transform families.
+        ``rows`` serves both :meth:`gradient_from` and :meth:`hessian_from`,
+        and its first two fitted values give the rows' scores.  Floating
+        point errors are left to the caller's ``np.errstate``.
         """
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.family.is_beta:
-                mu, phi, a, b = self._beta(x)
-                dig_a = sp.digamma(a)
-                dig_b = sp.digamma(b)
-                d_mean = phi * mu * (1.0 - mu) * (self.z - dig_a + dig_b)
-                d_disp = phi * (
-                    sp.digamma(phi)
-                    - mu * dig_a
-                    - (1.0 - mu) * dig_b
-                    + mu * self.log_y
-                    + (1.0 - mu) * self.log_1my
-                )
-                return d_mean, d_disp, (mu, phi, a, b)
-            mean_lin, disp_lin = self._linear(x)
+        n = self.n
+        mean_lin, disp_lin = self._linear(x)
+        if self.family.is_beta:
+            mu = np.minimum(np.maximum(sp.expit(mean_lin), EPS), 1.0 - EPS)
+            phi = np.exp(disp_lin)
+            a, b = mu * phi, (1.0 - mu) * phi
+            shapes = np.concatenate([a, b, np.atleast_1d(phi)])
+            log_gamma, dig = sp.gammaln(shapes), sp.digamma(shapes)
+            total = (
+                self.reps * log_gamma[2 * n :].sum()
+                - log_gamma[:n].sum()
+                - log_gamma[n : 2 * n].sum()
+                + (a - 1.0) @ self.log_y
+                + (b - 1.0) @ self.log_1my
+            )
+            dig_a, dig_b = dig[:n], dig[n : 2 * n]
+            d_mean = phi * mu * (1.0 - mu) * (self.z - dig_a + dig_b)
+            d_disp = phi * (
+                dig[2 * n :]
+                - mu * dig_a
+                - (1.0 - mu) * dig_b
+                + mu * self.log_y
+                + (1.0 - mu) * self.log_1my
+            )
+            fitted = (mu, phi, shapes)
+        else:
             sigma = np.exp(disp_lin)
             resid = (self.z - mean_lin) / sigma
-            return resid / sigma, resid * resid - 1.0, (sigma,)
+            total = -0.5 * LOG_2PI * n - self.reps * np.sum(disp_lin) - 0.5 * (resid @ resid)
+            d_mean, d_disp, fitted = resid / sigma, resid * resid - 1.0, (mean_lin, sigma)
+        f = -float(total) / n
+        return (f if np.isfinite(f) else np.inf), (d_mean, d_disp, fitted)
 
     def gradient_from(self, rows) -> np.ndarray:
-        """Analytic gradient of the mean negative log-likelihood from :meth:`rows`."""
+        """Analytic gradient of the mean negative log-likelihood from a derivative pass."""
         d_mean, d_disp, _ = rows
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = -np.concatenate([self.Z.T @ d_mean, self.Zd.T @ d_disp]) / self.n
+        g = -np.concatenate([self.ZT @ d_mean, self.ZT[: self.kd] @ d_disp]) / self.n
         return np.where(np.isfinite(g), g, 0.0)
 
     def hessian_from(self, rows, expected: bool = False) -> np.ndarray:
-        """Analytic Hessian of the mean negative log-likelihood from :meth:`rows`.
+        """Analytic Hessian of the mean negative log-likelihood from a derivative pass.
 
         With ``expected`` it is the expected (Fisher) information instead,
         which is positive definite for every family at a full-rank design.
-        Both are assembled as ``Z^T diag(w) Z`` blocks from per-row weights:
-        the expected weights, plus residual terms for the observed Hessian
-        (Ferrari & Cribari-Neto 2004; Simas, Barreto-Souza & Rocha 2010 for
-        varying precision).  Non-finite entries are left for the caller.
+        The blocks are ``Z^T diag(w) Z`` products of per-row weights, all
+        three from one product of the stacked weighted ``Z^T`` rows with
+        ``Z``: the expected weights, plus residual terms for the observed
+        Hessian (Ferrari & Cribari-Neto 2004; Simas, Barreto-Souza & Rocha
+        2010 for varying precision).  Non-finite entries are left for the
+        caller.
         """
         d_mean, d_disp, fitted = rows
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if self.family.is_beta:
-                mu, phi, a, b = fitted
-                n = self.n  # one trigamma call for a, b and phi
-                tri = _trigamma(np.concatenate([a, b, np.atleast_1d(phi)]))
-                tri_a, tri_b, tri_phi = tri[:n], tri[n : 2 * n], tri[2 * n :]
-                slope = mu * (1.0 - mu)  # d mu / d mean_lin
-                w_mm = (phi * slope) ** 2 * (tri_a + tri_b)
-                w_md = phi * phi * slope * (mu * tri_a - (1.0 - mu) * tri_b)
-                w_dd = phi * phi * (mu * mu * tri_a + (1.0 - mu) ** 2 * tri_b - tri_phi)
-                if not expected:
-                    w_mm = w_mm - (1.0 - 2.0 * mu) * d_mean
-                    w_md = w_md - d_mean
-                    w_dd = w_dd - d_disp
-            else:
-                (sigma,) = fitted
-                w_mm = sigma**-2.0
-                w_md = 0.0 if expected else 2.0 * d_mean
-                w_dd = 2.0 if expected else 2.0 * (d_disp + 1.0)
-            k = self.k
-            H = np.empty((k + self.Zd.shape[1],) * 2)
-            H[:k, :k] = (self.Z.T * w_mm) @ self.Z
-            H[:k, k:] = (self.Z.T * w_md) @ self.Zd
-            H[k:, :k] = H[:k, k:].T
-            H[k:, k:] = (self.Zd.T * w_dd) @ self.Zd
+        if self.family.is_beta:
+            mu, phi, shapes = fitted
+            n = self.n  # one trigamma call for a, b and phi
+            tri = _trigamma(shapes)
+            tri_a, tri_b, tri_phi = tri[:n], tri[n : 2 * n], tri[2 * n :]
+            slope = mu * (1.0 - mu)  # d mu / d mean_lin
+            w_mm = (phi * slope) ** 2 * (tri_a + tri_b)
+            w_md = phi * phi * slope * (mu * tri_a - (1.0 - mu) * tri_b)
+            w_dd = phi * phi * (mu * mu * tri_a + (1.0 - mu) ** 2 * tri_b - tri_phi)
+            if not expected:
+                w_mm = w_mm - (1.0 - 2.0 * mu) * d_mean
+                w_md = w_md - d_mean
+                w_dd = w_dd - d_disp
+        else:
+            _, sigma = fitted
+            w_mm = sigma**-2.0
+            w_md = 0.0 if expected else 2.0 * d_mean
+            w_dd = 2.0 if expected else 2.0 * (d_disp + 1.0)
+        k, kd, ZT = self.k, self.kd, self.ZT
+        weighted = np.empty((k + 2 * kd, self.n))
+        np.multiply(ZT, w_mm, out=weighted[:k])
+        np.multiply(ZT[:kd], w_md, out=weighted[k : k + kd])
+        np.multiply(ZT[:kd], w_dd, out=weighted[k + kd :])
+        blocks = weighted @ self.Z
+        H = np.empty((k + kd,) * 2)
+        H[:k, :k] = blocks[:k]
+        H[k:, :k] = blocks[k : k + kd]
+        H[:k, k:] = H[k:, :k].T
+        H[k:, k:] = blocks[k + kd :, :kd]
         return H / self.n
+
+    # single-purpose entry points, for loglik and for tests
+    def objective(self, x: np.ndarray) -> float:
+        """Mean negative log-likelihood at a single parameter vector."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return self.evaluate(x)[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Analytic gradient of the mean negative log-likelihood."""
-        return self.gradient_from(self.rows(x))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return self.gradient_from(self.evaluate(x)[1])
 
     def hessian(self, x: np.ndarray, expected: bool = False) -> np.ndarray:
         """Analytic Hessian (or, with ``expected``, the Fisher information)."""
-        return self.hessian_from(self.rows(x), expected)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return self.hessian_from(self.evaluate(x)[1], expected)
 
 
 def loglik(data: Dataset, spec: ModelSpec, params) -> float:
@@ -421,7 +479,8 @@ def loglik(data: Dataset, spec: ModelSpec, params) -> float:
     Layout: mean intercept, mean coefficients, dispersion intercept, and
     (heteroscedastic families only) dispersion coefficients.  The transform
     families model logit(y) directly, without a change-of-variables term.
-    Returns -inf for parameter values outside the valid region.
+    Returns -inf for parameter values outside the valid region.  It is
+    :meth:`_Likelihood.evaluate`'s objective, the one a fit minimizes.
     """
     _split_params(params, data.p, spec.family)  # validates the layout
     return -data.n * _Likelihood(data, spec.family).objective(np.asarray(params, dtype=float))
@@ -456,70 +515,101 @@ def _newton(lik: _Likelihood, x: np.ndarray, opts: FitOptions):
     """Damped Newton iterations from ``x`` until the relative gradient meets
     ``opts.gtol``, no step is acceptable, or ``opts.max_iter`` is reached.
 
-    Each accepted point gets one derivative pass, from which both the
-    gradient and the Hessian are built.  Steps are halved until they
-    satisfy the Armijo condition.  Near an optimum the objective is flat to
-    rounding noise while the gradient may not yet have converged, so the
-    condition allows an increase of up to ``1e3 * eps * |f|``.  Returns
-    (x, f, whether the gradient test was met, iterations).
+    Every point tried gets one :meth:`_Likelihood.evaluate` pass, so the
+    accepted trial point already carries the derivative pass from which
+    the next step's gradient and Hessian are built.  Steps are halved
+    until they satisfy the Armijo condition.  Near an optimum the
+    objective is flat to rounding noise while the gradient may not yet
+    have converged, so the condition allows an increase of up to
+    ``1e3 * eps * |f|``.  Runs under the caller's ``np.errstate``.
+    Returns (x, f, whether the gradient test was met, iterations, the
+    fitted values of the pass at x).
     """
-    f, rows = lik.objective(x), lik.rows(x)
+    f, rows = lik.evaluate(x)
     g = lik.gradient_from(rows)
     for it in range(opts.max_iter):
         if _relative_gradient(g, x, f) <= opts.gtol:
-            return x, f, True, it
+            return x, f, True, it, rows[2]
         step = _newton_direction(lik, rows, g)
         if step is None:
-            return x, f, False, it
+            return x, f, False, it, rows[2]
         descent = ARMIJO_C * float(g @ step)
         slack = 1e3 * np.finfo(float).eps * max(1.0, abs(f))
         t = 1.0
         for _ in range(MAX_HALVINGS):
             x_try = x + t * step
-            f_try = lik.objective(x_try)
+            f_try, rows_try = lik.evaluate(x_try)
             if f_try <= f + t * descent + slack:
                 break
             t *= 0.5
         else:
-            return x, f, False, it
-        x, f, rows = x_try, f_try, lik.rows(x_try)
+            return x, f, False, it, rows[2]
+        x, f, rows = x_try, f_try, rows_try
         g = lik.gradient_from(rows)
-    return x, f, _relative_gradient(g, x, f) <= opts.gtol, opts.max_iter
+    return x, f, _relative_gradient(g, x, f) <= opts.gtol, opts.max_iter, rows[2]
 
 
 def _ols_logit(lik: _Likelihood):
     """OLS of logit(y) on the design, and the ML residual variance.
 
-    ``lstsq`` reports the design's rank with the same cutoff as
-    ``np.linalg.matrix_rank``, so a rank-deficient design raises
-    :class:`SingularDesign` here at no extra cost.
+    The design's pseudo-inverse is computed once per workspace and raises
+    :class:`SingularDesign` for a rank-deficient design.
     """
-    coef, _, rank, _ = np.linalg.lstsq(lik.Z, lik.z, rcond=None)
-    if rank < lik.k:
-        raise SingularDesign("design matrix with intercept is rank deficient")
+    coef = lik.pinv() @ lik.z
     resid = lik.z - lik.Z @ coef
     sigma2 = float(resid @ resid) / lik.n  # maximum likelihood divisor
     return coef, max(sigma2, 1e-12)
 
 
-def _initial_params(data: Dataset, lik: _Likelihood) -> np.ndarray:
+def _initial_params(lik: _Likelihood) -> np.ndarray:
     """Cold start: moments of the OLS fit of logit(y), or for m4 the m3 fit.
 
     Either way an OLS fit of the design runs first and raises
     :class:`SingularDesign` for a rank-deficient one.
     """
+    p = lik.k - 1
     if lik.family is ModelFamily.BETA_MEAN_DISP:
-        base = fit(data, ModelSpec(ModelFamily.BETA_MEAN))
-        return np.concatenate([base.params, np.zeros(data.p)])
+        m3 = copy.copy(lik)  # the same rows, sharing every array
+        m3._set_family(ModelFamily.BETA_MEAN)
+        start = _newton(m3, _initial_params(m3), FitOptions())[0]
+        return np.concatenate([start, np.zeros(p)])
     coef, sigma2 = _ols_logit(lik)
     if lik.family is ModelFamily.TRANSFORM_HETERO:
-        return np.concatenate([coef, [0.5 * np.log(sigma2)], np.zeros(data.p)])
+        return np.concatenate([coef, [0.5 * np.log(sigma2)], np.zeros(p)])
     # beta families: method-of-moments precision from the logit-scale residual
     # variance, var(y) ~= var(z) * (mu (1 - mu))^2 by the delta method
     mu = np.clip(expit(lik.Z @ coef), EPS, 1.0 - EPS)
     phi_points = 1.0 / (sigma2 * mu * (1.0 - mu)) - 1.0
     phi0 = float(np.clip(np.mean(phi_points), 0.5, 1e4))
     return np.concatenate([coef, [np.log(phi0)]])
+
+
+def _solve(lik: _Likelihood, opts: FitOptions):
+    """Fit the workspace's family to its rows: the kernel of :func:`fit` and
+    of full conformal's refits.
+
+    m1 is solved in closed form; the others run :func:`_newton` from
+    ``opts.init`` or a cold start.  A warm start checks the design's rank
+    unless that check has passed before.  The whole fit runs under one
+    ``np.errstate``.  Returns (params, objective, converged, iterations,
+    fitted values of the final derivative pass).
+    """
+    if lik.n < lik.k + 1:
+        raise FitError(f"need at least p + 2 = {lik.k + 1} observations, got {lik.n}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if lik.family is ModelFamily.TRANSFORM_HOMO:
+            coef, sigma2 = _ols_logit(lik)
+            x = np.concatenate([coef, [0.5 * np.log(sigma2)]])
+            f, rows = lik.evaluate(x)
+            return x, f, True, 0, rows[2]
+        if opts.init is None:
+            x0 = _initial_params(lik)
+        else:
+            if not lik.full_rank:
+                lik.pinv()  # raises SingularDesign for a rank-deficient design
+            x0 = np.asarray(opts.init, dtype=float)
+        _split_params(x0, lik.k - 1, lik.family)  # validates the layout
+        return _newton(lik, x0, opts)
 
 
 def fit(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> FittedModel:
@@ -536,26 +626,8 @@ def fit(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> Fitte
     comes with the OLS fit of a cold start; a warm start runs it as an SVD,
     except on an augmented copy of a design that already passed it.
     """
-    opts = opts or FitOptions()
-    if data.n < data.p + 2:
-        raise FitError(f"need at least p + 2 = {data.p + 2} observations, got {data.n}")
-    family = spec.family
-    lik = _Likelihood(data, family)
-    if family is ModelFamily.TRANSFORM_HOMO:
-        coef, sigma2 = _ols_logit(lik)
-        data._mark_full_rank()
-        params = np.concatenate([coef, [0.5 * np.log(sigma2)]])
-        return _build(data, spec, params, lik.objective(params), converged=True, iterations=0)
-
-    if opts.init is None:
-        x0 = _initial_params(data, lik)
-    else:
-        if not data._full_rank and np.linalg.matrix_rank(lik.Z) < lik.k:
-            raise SingularDesign("design matrix with intercept is rank deficient")
-        x0 = np.asarray(opts.init, dtype=float)
+    x, f, converged, iterations, _ = _solve(_Likelihood(data, spec.family), opts or FitOptions())
     data._mark_full_rank()
-    _split_params(x0, data.p, family)  # validates the layout
-    x, f, converged, iterations = _newton(lik, x0, opts)
     return _build(data, spec, x, f, converged, iterations)
 
 

@@ -70,34 +70,43 @@ def _abs_normal_quantile_residual(t):
     return np.where(u > 0.0, -sp.ndtri(safe), t_abs)
 
 
+def _score_fitted(kind: ScoreKind, family: ModelFamily, response, mean, spread):
+    """Scores of responses under fitted values: the kernel of :func:`score`.
+
+    ``response`` is y for the beta families and logit(y) for the transform
+    families; ``mean`` and ``spread`` are the fitted mu and phi, or the
+    fitted linear predictor and sigma, per row or shared.  Full conformal
+    scores its refits here, from the fitted values of their last
+    derivative pass.
+    """
+    _check_kind(kind, family)
+    if family.is_beta:
+        if kind is ScoreKind.PEARSON:
+            return np.abs(response - mean) / np.sqrt(mean * (1.0 - mean) / (1.0 + spread))
+        u = sp.betainc(mean * spread, (1.0 - mean) * spread, response)
+        return np.abs(sp.ndtri(np.clip(u, CDF_CLIP, 1.0 - CDF_CLIP)))
+    resid = response - mean
+    if kind is ScoreKind.RAW:
+        return np.abs(resid)
+    if kind is ScoreKind.PEARSON:
+        return np.abs(resid) / spread
+    return _abs_normal_quantile_residual(resid / spread)
+
+
 def score(kind: ScoreKind, y, m: FittedModel, x):
     """Non-conformity score of response(s) y at covariate(s) x under ``m``.
 
     Accepts a scalar y with a length-p covariate vector, or a vector y with
     a matching covariate matrix.
     """
-    _check_kind(kind, m.family)
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr <= 0.0) or np.any(y_arr >= 1.0) or not np.all(np.isfinite(y_arr)):
         raise ValueError("responses must lie strictly in (0, 1)")
 
     if m.family.is_beta:
-        if kind is ScoreKind.PEARSON:
-            out = np.abs(y_arr - m.predict_mean(x)) / m.predict_sigma(x)
-        else:
-            mu = m.predict_mean(x)
-            phi = m.predict_phi(x)
-            u = sp.betainc(mu * phi, (1.0 - mu) * phi, y_arr)
-            u = np.clip(u, CDF_CLIP, 1.0 - CDF_CLIP)
-            out = np.abs(sp.ndtri(u))
+        out = _score_fitted(kind, m.family, y_arr, m.predict_mean(x), m.predict_phi(x))
     else:
-        resid = logit(y_arr) - m.predict_linear(x)
-        if kind is ScoreKind.RAW:
-            out = np.abs(resid)
-        elif kind is ScoreKind.PEARSON:
-            out = np.abs(resid) / m.predict_sigma(x)
-        else:
-            out = _abs_normal_quantile_residual(resid / m.predict_sigma(x))
+        out = _score_fitted(kind, m.family, logit(y_arr), m.predict_linear(x), m.predict_sigma(x))
 
     if np.isscalar(y) or np.ndim(y) == 0:
         return float(out)

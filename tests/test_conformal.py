@@ -1,6 +1,7 @@
 """Split and full conformal prediction mechanics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from unitcp import (
     Method,
     ModelFamily,
     ModelSpec,
+    NonConvergence,
     PredictionInterval,
     Scenario,
     ScoreKind,
+    SingularDesign,
     SplitConfig,
     beta_quantile,
     classical_gauss_interval,
@@ -24,6 +27,7 @@ from unitcp import (
     indicator,
     logit,
     norm_cdf,
+    score,
     split_cp,
     split_cp_batch,
 )
@@ -31,7 +35,7 @@ from unitcp import conformal
 from unitcp.cli import ANALYSIS_BATTERY, load_csv
 from unitcp.conformal import _invert_split, _search, _split_fit
 from unitcp.datasets import bodyfat_path
-from unitcp.models import FitOptions, fit
+from unitcp.models import FitOptions, _Likelihood, fit
 
 from conftest import make_scenario_data
 from test_models import M1, M2, M3, M4, make_model
@@ -377,17 +381,129 @@ def test_refit_warm_started_from_a_neighbour_matches_a_cold_fit(spec, scenario, 
     data, x_new, _ = make_scenario_data(scenario, 100, disp, seed=1400)
     candidates = np.linspace(0.02, 0.98, 9)
     prev = fit(data.augmented(candidates[0], x_new), spec)
+    ws = _Likelihood(data, spec.family, x_new)
     for y in candidates[1:]:
         aug = data.augmented(y, x_new)
         cold = fit(aug, spec)
         warm = fit(aug, spec, FitOptions(init=prev.params))
         assert warm.converged == cold.converged
         np.testing.assert_allclose(warm.params, cold.params, rtol=0.0, atol=1e-6)
-        m_warm, _ = conformal._margin(y, data, x_new, spec, kind, 0.1, FitOptions(init=prev.params))
-        m_cold, _ = conformal._margin(y, data, x_new, spec, kind, 0.1)
+        m_warm = conformal._margin(y, ws, kind, 0.1, FitOptions(init=prev.params)).margin
+        m_cold = conformal._margin(y, ws, kind, 0.1).margin
         # both fits stop at the gradient tolerance, some 1e-7 apart in m4's parameters
         assert m_warm == pytest.approx(m_cold, abs=1e-5)
         prev = warm
+
+
+# ---------------------------------------------------------------------------
+# the candidate workspace against a refit of an augmented copy
+
+SCENARIO_OF = {
+    M1: (Scenario.TRANSFORM_HOMO, 0.63),
+    M2: (Scenario.TRANSFORM_HETERO, None),
+    M3: (Scenario.BETA_MEAN, 10.0),
+    M4: (Scenario.BETA_MEAN_DISP, None),
+}
+VALID_PAIRS = [(spec, kind) for spec in SCENARIO_OF for kind in ScoreKind if kind.valid_for(spec.family)]
+
+
+def reference_margin(y, data, x_new, spec, kind, alpha, opts=None):
+    """The margin the slow way: copy the data with the candidate appended,
+    fit the copy and score every row through the fitted model."""
+    aug = data.augmented(y, x_new)
+    model = fit(aug, spec, opts)
+    scores = score(kind, aug.y, model, aug.X)
+    k = math.ceil((1.0 - alpha) * (data.n + 1))
+    return float(scores[-1] - np.partition(scores[:-1], k - 1)[k - 1]), model
+
+
+@pytest.mark.parametrize("spec,kind", VALID_PAIRS)
+def test_workspace_margin_matches_a_refit_of_an_augmented_copy(spec, kind):
+    scenario, disp = SCENARIO_OF[spec]
+    sim, x_sim, _ = make_scenario_data(scenario, 60, disp, seed=45)
+    bodyfat = load_csv(bodyfat_path())
+    cases = [(sim, x_sim), (Dataset(bodyfat.y[1:], bodyfat.X[1:]), bodyfat.X[0])]
+    for data, x_new in cases:
+        base = fit(data, spec)
+        ws = _Likelihood(data, spec.family, x_new)
+        candidates = np.concatenate([[1e-4], np.quantile(data.y, [0.05, 0.5, 0.95])])
+        for y in candidates:
+            for opts in (None, FitOptions(init=base.params)):
+                ref, model = reference_margin(y, data, x_new, spec, kind, 0.1, opts)
+                if not model.converged:
+                    with pytest.raises(NonConvergence):
+                        conformal._margin(y, ws, kind, 0.1, opts)
+                    continue
+                refit = conformal._margin(y, ws, kind, 0.1, opts)
+                assert refit.margin == pytest.approx(ref, abs=1e-10)
+                np.testing.assert_allclose(refit.params, model.params, rtol=0.0, atol=1e-10)
+                assert refit.iterations == model.iterations
+                assert (refit.margin <= 0.0) == indicator(y, data, x_new, spec, kind, 0.1, opts)
+
+
+@pytest.mark.parametrize("spec,kind", VALID_PAIRS[::2])
+def test_workspace_rejects_what_an_augmented_copy_rejects(spec, kind):
+    scenario, disp = SCENARIO_OF[spec]
+    data, x_new, _ = make_scenario_data(scenario, 60, disp, seed=46)
+    ws = _Likelihood(data, spec.family, x_new)
+    for y in (math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            data.augmented(y, x_new)
+        with pytest.raises(ValueError):
+            conformal._margin(y, ws, kind, 0.1)
+        with pytest.raises(ValueError):
+            indicator(y, data, x_new, spec, kind, 0.1)
+    for bad in ([math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            data.augmented(0.5, bad)
+        with pytest.raises(ValueError):
+            indicator(0.5, data, bad, spec, kind, 0.1)
+        with pytest.raises(ValueError):
+            full_cp(data, bad, spec, kind, FullConfig(0.1))
+
+
+@pytest.mark.parametrize("spec,kind", VALID_PAIRS[::2])
+def test_workspace_detects_a_singular_design(spec, kind):
+    # the constant column duplicates the intercept, and the parent was never fitted
+    rng = np.random.default_rng(0)
+    X = np.column_stack([np.ones(30), rng.normal(size=30)])
+    parent = Dataset(expit(rng.normal(size=30)), X)
+    init = np.zeros(6 if spec.family.models_dispersion else 4)
+    for opts in (None, FitOptions(init=init)):
+        with pytest.raises(SingularDesign):
+            fit(parent.augmented(0.5, [1.0, 0.3]), spec, opts)
+        with pytest.raises(SingularDesign):
+            indicator(0.5, parent, [1.0, 0.3], spec, kind, 0.1, opts)
+
+
+def test_full_cp_and_fits_raise_no_floating_point_warnings():
+    # every floating-point error of a fit is expected and handled inside it
+    bodyfat = load_csv(bodyfat_path())
+    data, x_new = Dataset(bodyfat.y[1:], bodyfat.X[1:]), bodyfat.X[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for family, kind in ANALYSIS_BATTERY:
+            spec = ModelSpec(family)
+            full_cp(data, x_new, spec, kind, FullConfig(0.1))
+            for y in (1e-12, 1.0 - 1e-12):
+                try:
+                    indicator(y, data, x_new, spec, kind, 0.1)
+                except NonConvergence:
+                    pass
+        # n=15 with a dummy covariate set for one row only: no MLE exists
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            dummy = np.zeros(15)
+            dummy[0] = 1.0
+            X = np.column_stack([dummy, rng.normal(size=15)])
+            small = Dataset(np.clip(rng.beta(4.0, 6.0, 15), 0.01, 0.99), X)
+            for spec in (M2, M4):
+                fit(small, spec)
+
+
+def test_contiguity_probe_fractions_are_the_seeded_draws():
+    rng = np.random.default_rng(0)
+    assert conformal.PROBE_FRACTIONS == tuple(rng.uniform(0.05, 0.9) for _ in range(3))
 
 
 def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
@@ -395,28 +511,35 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
     n_test = round(0.1 * data.n)
     perm = np.random.default_rng([1, 0]).permutation(data.n)
     cons = Dataset(data.y[perm[n_test:]], data.X[perm[n_test:]])
-    calls = cold = 0
+    fits = cold = 0  # base fits and refits, counted where full_cp makes them
     warm_iterations = []  # Newton iterations of the m2-m4 warm refits
-    real_fit = conformal.fit
+    real_fit, real_margin = conformal.fit, conformal._margin
 
     def counting_fit(*args, **kwargs):
-        nonlocal calls, cold
-        calls += 1
-        model = real_fit(*args, **kwargs)
+        nonlocal fits, cold
+        fits += 1
         opts = args[2] if len(args) > 2 else kwargs.get("opts")
+        cold += opts is None or opts.init is None
+        return real_fit(*args, **kwargs)
+
+    def counting_margin(y, ws, kind, alpha, opts=None):
+        nonlocal fits, cold
+        fits += 1
+        refit = real_margin(y, ws, kind, alpha, opts)
         if opts is None or opts.init is None:
             cold += 1
-        elif model.family is not ModelFamily.TRANSFORM_HOMO:
-            warm_iterations.append(model.iterations)
-        return model
+        elif ws.family is not ModelFamily.TRANSFORM_HOMO:
+            warm_iterations.append(refit.iterations)
+        return refit
 
     monkeypatch.setattr(conformal, "fit", counting_fit)
+    monkeypatch.setattr(conformal, "_margin", counting_margin)
     intervals = 0
     for i in perm[:n_test]:
         for family, kind in ANALYSIS_BATTERY:
             full_cp(cons, data.X[i], ModelSpec(family), kind, FullConfig(0.1))
             intervals += 1
-    assert calls / intervals <= 11.5
+    assert fits / intervals <= 11.5
     assert cold == 4  # one base fit per family: every test point shares the dataset
     assert np.mean(warm_iterations) <= 2.4
 

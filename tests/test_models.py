@@ -337,7 +337,7 @@ def test_newton_matches_bfgs_reference(spec, scenario, disp):
     for data in (sim, load_csv(bodyfat_path())):
         m = fit(data, spec)
         assert m.converged and 0 < m.iterations <= FitOptions().max_iter
-        ref = _bfgs_reference(data, spec, _initial_params(data, _Likelihood(data, spec.family)))
+        ref = _bfgs_reference(data, spec, _initial_params(_Likelihood(data, spec.family)))
         assert np.max(np.abs(m.params - ref)) < 1e-6
         # a warm-started refit of the data plus one point, as full CP does
         aug = data.augmented(float(np.median(data.y)), data.X[0])
