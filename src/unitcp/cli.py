@@ -274,6 +274,11 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
 
 
+def _add_rho(p):
+    help_ = "full CP searches m1/m2 over the classical interval plus rho widths per side (default %(default)s)"
+    p.add_argument("--rho", type=float, default=FullConfig.rho, help=help_)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="unitcp", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"unitcp {__version__}")
@@ -291,10 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--score", default=None, help="raw|pearson|quantile (default per model)")
     p_pred.add_argument("--method", default="split", choices=["split", "full", "bootstrap"])
-    p_pred.add_argument("--split-fraction", type=float, default=0.5)
-    p_pred.add_argument("--tolerance", type=float, default=1e-4)
-    p_pred.add_argument("--rho", type=float, default=3.0)
-    p_pred.add_argument("--grid-step", type=float, default=1e-4)
+    _add_rho(p_pred)
     p_pred.add_argument("--bootstrap-b", type=int, default=500)
     p_pred.add_argument("--rescale", nargs=2, type=float, metavar=("A", "B"))
     p_pred.add_argument("--output", required=True)
@@ -319,11 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--score", default=None, help="restrict scores (comma list)")
     p_an.add_argument("--method", default="split,full", help="comma list of split,full,bootstrap")
     p_an.add_argument("--seeds", type=int, default=1, help="number of random construction/test splits")
-    p_an.add_argument("--test-fraction", type=float, default=0.1)
-    p_an.add_argument("--split-fraction", type=float, default=0.5)
-    p_an.add_argument("--tolerance", type=float, default=1e-4)
-    p_an.add_argument("--rho", type=float, default=3.0)
-    p_an.add_argument("--grid-step", type=float, default=1e-4)
+    p_an.add_argument("--test-fraction", type=float, default=0.1, help="test share, in (0, 1) (default %(default)s)")
+    _add_rho(p_an)
     p_an.add_argument("--bootstrap-b", type=int, default=500)
     p_an.add_argument("--rescale", nargs=2, type=float, metavar=("A", "B"))
     p_an.add_argument("--output", required=True, help="output directory")
@@ -408,9 +407,9 @@ def _cmd_predict(args) -> int:
     X_new = _read_new_covariates(args.new, names)
 
     if args.method == "split":
-        intervals = split_cp_batch(data, X_new, spec, kind, SplitConfig(args.alpha, args.split_fraction, args.seed))
+        intervals = split_cp_batch(data, X_new, spec, kind, SplitConfig(args.alpha, rng_seed=args.seed))
     elif args.method == "full":
-        cfg = FullConfig(args.alpha, args.tolerance, args.rho, args.grid_step)
+        cfg = FullConfig(args.alpha, rho=args.rho)
         intervals = [full_cp(data, x, spec, kind, cfg) for x in X_new]
     else:
         intervals = [
@@ -440,6 +439,8 @@ def _cmd_predict(args) -> int:
 def _cmd_simulate(args) -> int:
     scenarios = _parse_list(args.scenario, Scenario.from_name, "scenario")
     methods = _parse_list(args.method, Method, "method")
+    if Method.BOOTSTRAP in methods:
+        raise UsageError("simulate supports split and full methods")
     combos = _battery(args.model, args.score)
     sizes = _parse_list(args.n, int, "sample size")
     workers = args.workers
@@ -456,8 +457,6 @@ def _cmd_simulate(args) -> int:
                 raise UsageError(str(exc)) from exc
             for family, kind in combos:
                 for method in methods:
-                    if method is Method.BOOTSTRAP:
-                        raise UsageError("simulate supports split and full methods")
                     reps = args.replications_split if method is Method.SPLIT else args.replications_full
                     report = run_coverage(
                         cfg, ModelSpec(family), kind, method, args.alpha, reps, workers=workers
@@ -488,6 +487,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if not 0.0 < args.test_fraction < 1.0:
+        raise UsageError(f"--test-fraction must lie strictly in (0, 1), got {args.test_fraction}")
     rescale = tuple(args.rescale) if args.rescale else None
     path = args.input if args.input else bodyfat_path()
     data = load_csv(path, rescale)
@@ -534,13 +535,13 @@ def _cmd_analyze(args) -> int:
             for fam, kind in combos:
                 spec = ModelSpec(fam)
                 if method is Method.SPLIT:
-                    cfg = SplitConfig(args.alpha, args.split_fraction, split_seed)
+                    cfg = SplitConfig(args.alpha, rng_seed=split_seed)
                     start = time.process_time()
                     ivs = split_cp_batch(cons, X_test, spec, kind, cfg)
                     cpu = (time.process_time() - start) / n_test
                     cpus = [cpu] * n_test
                 else:
-                    cfg = FullConfig(args.alpha, args.tolerance, args.rho, args.grid_step)
+                    cfg = FullConfig(args.alpha, rho=args.rho)
                     ivs, cpus = [], []
                     for i in range(n_test):
                         start = time.process_time()

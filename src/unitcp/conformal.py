@@ -121,19 +121,17 @@ class PredictionInterval:
 class SplitConfig:
     """Settings for split conformal prediction.
 
-    ``split_fraction`` is the calibration share; with the 0.5 default and
-    odd n the training half gets the extra point.
+    ``rng_seed`` seeds the random split.  The calibration set is half the
+    data, n // 2 points (at least 1 and at most n - 1), so with odd n the
+    training half gets the extra point; the share is not an option.
     """
 
     alpha: float
-    split_fraction: float = 0.5
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ValueError("split_fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,9 @@ class FullConfig:
     families' search on the logit scale.  Each returned endpoint is
     included and lies within that resolution of the edge of the conformal
     set.  ``rho`` extends the classical interval by ``rho`` widths on each
-    side to bound the transform families' search range.
+    side to bound the transform families' search range.  These defaults
+    are the package's only ones: ``run_coverage`` uses them all, and the
+    CLI exposes only ``rho`` (``--rho``), whose default it reads from here.
     """
 
     alpha: float
@@ -196,8 +196,7 @@ def _conformal_rank(alpha: float, m: int) -> int:
 def _split_fit(data: Dataset, spec: ModelSpec, kind: ScoreKind, cfg: SplitConfig):
     """Fit on the training half and return (model, conformal quantile)."""
     n = data.n
-    n_cal = int(math.floor(n * cfg.split_fraction))
-    n_cal = min(max(n_cal, 1), n - 1)
+    n_cal = min(max(n // 2, 1), n - 1)
     perm = np.random.default_rng(cfg.rng_seed).permutation(n)
     cal_idx, train_idx = perm[:n_cal], perm[n_cal:]
     model = fit(Dataset(data.y[train_idx], data.X[train_idx]), spec)

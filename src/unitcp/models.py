@@ -46,6 +46,13 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 30
 
+# a fit has converged when the relative gradient |g_i| * max(1,|x_i|) / max(1,|f|)
+# of the mean log-likelihood is at most GTOL.  Fits whose MLE exists converge
+# in a handful of Newton iterations; MAX_ITER bounds the cost of those where
+# it does not and the iterates drift off, which are reported non-converged.
+GTOL = 1e-6
+MAX_ITER = 50
+
 
 class FitError(RuntimeError):
     """Base class for model fitting failures."""
@@ -118,9 +125,6 @@ class Dataset:
 
     y: np.ndarray
     X: np.ndarray
-    # set once a fit has found the design with intercept to have full column
-    # rank; augmented copies inherit it, as an extra row cannot lower the rank
-    _full_rank: bool = field(default=False, init=False, repr=False, compare=False)
     # full conformal's base fits of this dataset, by ModelSpec; augmented
     # copies start empty, as their data differ
     _base_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -150,12 +154,11 @@ class Dataset:
     def augmented(self, y_new: float, x_new: np.ndarray) -> "Dataset":
         """Return a copy with one extra observation appended.
 
-        Only the appended row is validated; the others already were.  A
-        design that a fit found to have full rank keeps that mark in the
-        copy, so refits of the copy skip the rank check; the memo of base
-        fits starts empty.  Full conformal prediction does not copy: its
-        refits rewrite the last row of one workspace (``_Likelihood`` with
-        ``x_new``).
+        Only the appended row is validated; the others already were.  The
+        memo of base fits starts empty.  Full conformal prediction does not
+        copy: its refits rewrite the last row of one workspace
+        (``_Likelihood`` with ``x_new``), which gives the same fits as a
+        fit of this copy.
         """
         y_new = float(y_new)
         x_new = _checked_row(x_new, self.p)
@@ -166,24 +169,17 @@ class Dataset:
         aug = object.__new__(Dataset)
         object.__setattr__(aug, "y", _read_only(np.append(self.y, y_new)))
         object.__setattr__(aug, "X", _read_only(np.vstack([self.X, x_new])))
-        object.__setattr__(aug, "_full_rank", self._full_rank)
         object.__setattr__(aug, "_base_fits", {})
         return aug
-
-    def _mark_full_rank(self) -> None:
-        object.__setattr__(self, "_full_rank", True)
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the Newton fit.
+    """Where the Newton fit starts.
 
-    ``gtol`` bounds the relative gradient |g_i| * max(1,|x_i|) / max(1,|f|)
-    of the mean log-likelihood at the reported optimum.  ``max_iter`` caps
-    the Newton iterations: a fit that has not met ``gtol`` by then is
-    reported with ``converged=False``.  Fits whose MLE exists converge in a
-    handful of iterations; the cap bounds the cost of those where it does
-    not and the iterates drift off.  ``init`` warm-starts the optimizer.
+    ``init`` warm-starts the optimizer; without it a fit starts cold.  The
+    convergence test and the iteration cap are not options: they are the
+    module constants ``GTOL`` and ``MAX_ITER``, the same for every fit.
     Full conformal prediction refits one workspace of the data plus a
     candidate row many times, and passes the straight line through the
     parameters of the two nearest candidates already fitted, evaluated at
@@ -192,8 +188,6 @@ class FitOptions:
     are almost converged.  The closed-form family ignores ``init``.
     """
 
-    gtol: float = 1e-6
-    max_iter: int = 50
     init: np.ndarray | None = None
 
 
@@ -319,8 +313,6 @@ class _Likelihood:
         self.Z = np.column_stack([np.ones(self.n), X])
         self.ZT = np.ascontiguousarray(self.Z.T)
         self._set_family(family)
-        # a rank check of the design has passed (the parent's, or this one's)
-        self.full_rank = data._full_rank
         self._pinv = None
         self.y = y
         self.log_y = np.log(y)
@@ -347,13 +339,13 @@ class _Likelihood:
         """Pseudo-inverse of the design, from one SVD per workspace.
 
         Raises :class:`SingularDesign` when the design is rank deficient, by
-        the cutoff of ``np.linalg.matrix_rank``.
+        the cutoff of ``np.linalg.matrix_rank``; this is the fit's rank
+        check.
         """
         if self._pinv is None:
             u, s, vt = np.linalg.svd(self.Z, full_matrices=False)
             if s[-1] <= s[0] * max(self.Z.shape) * np.finfo(float).eps:
                 raise SingularDesign("design matrix with intercept is rank deficient")
-            self.full_rank = True
             self._pinv = (vt.T / s) @ u.T
         return self._pinv
 
@@ -511,9 +503,9 @@ def _newton_direction(lik: _Likelihood, rows, g: np.ndarray) -> np.ndarray | Non
     return None
 
 
-def _newton(lik: _Likelihood, x: np.ndarray, opts: FitOptions):
+def _newton(lik: _Likelihood, x: np.ndarray):
     """Damped Newton iterations from ``x`` until the relative gradient meets
-    ``opts.gtol``, no step is acceptable, or ``opts.max_iter`` is reached.
+    ``GTOL``, no step is acceptable, or ``MAX_ITER`` iterations have run.
 
     Every point tried gets one :meth:`_Likelihood.evaluate` pass, so the
     accepted trial point already carries the derivative pass from which
@@ -527,8 +519,8 @@ def _newton(lik: _Likelihood, x: np.ndarray, opts: FitOptions):
     """
     f, rows = lik.evaluate(x)
     g = lik.gradient_from(rows)
-    for it in range(opts.max_iter):
-        if _relative_gradient(g, x, f) <= opts.gtol:
+    for it in range(MAX_ITER):
+        if _relative_gradient(g, x, f) <= GTOL:
             return x, f, True, it, rows[2]
         step = _newton_direction(lik, rows, g)
         if step is None:
@@ -546,19 +538,21 @@ def _newton(lik: _Likelihood, x: np.ndarray, opts: FitOptions):
             return x, f, False, it, rows[2]
         x, f, rows = x_try, f_try, rows_try
         g = lik.gradient_from(rows)
-    return x, f, _relative_gradient(g, x, f) <= opts.gtol, opts.max_iter, rows[2]
+    return x, f, _relative_gradient(g, x, f) <= GTOL, MAX_ITER, rows[2]
 
 
 def _ols_logit(lik: _Likelihood):
-    """OLS of logit(y) on the design, and the ML residual variance.
+    """OLS of logit(y) on the design: (coefficients, fitted linear predictor,
+    residuals, ML residual variance).
 
     The design's pseudo-inverse is computed once per workspace and raises
     :class:`SingularDesign` for a rank-deficient design.
     """
     coef = lik.pinv() @ lik.z
-    resid = lik.z - lik.Z @ coef
+    lin = lik.Z @ coef
+    resid = lik.z - lin
     sigma2 = float(resid @ resid) / lik.n  # maximum likelihood divisor
-    return coef, max(sigma2, 1e-12)
+    return coef, lin, resid, max(sigma2, 1e-12)
 
 
 def _initial_params(lik: _Likelihood) -> np.ndarray:
@@ -571,14 +565,14 @@ def _initial_params(lik: _Likelihood) -> np.ndarray:
     if lik.family is ModelFamily.BETA_MEAN_DISP:
         m3 = copy.copy(lik)  # the same rows, sharing every array
         m3._set_family(ModelFamily.BETA_MEAN)
-        start = _newton(m3, _initial_params(m3), FitOptions())[0]
+        start = _newton(m3, _initial_params(m3))[0]
         return np.concatenate([start, np.zeros(p)])
-    coef, sigma2 = _ols_logit(lik)
+    coef, lin, _, sigma2 = _ols_logit(lik)
     if lik.family is ModelFamily.TRANSFORM_HETERO:
         return np.concatenate([coef, [0.5 * np.log(sigma2)], np.zeros(p)])
     # beta families: method-of-moments precision from the logit-scale residual
     # variance, var(y) ~= var(z) * (mu (1 - mu))^2 by the delta method
-    mu = np.clip(expit(lik.Z @ coef), EPS, 1.0 - EPS)
+    mu = np.clip(expit(lin), EPS, 1.0 - EPS)
     phi_points = 1.0 / (sigma2 * mu * (1.0 - mu)) - 1.0
     phi0 = float(np.clip(np.mean(phi_points), 0.5, 1e4))
     return np.concatenate([coef, [np.log(phi0)]])
@@ -588,28 +582,30 @@ def _solve(lik: _Likelihood, opts: FitOptions):
     """Fit the workspace's family to its rows: the kernel of :func:`fit` and
     of full conformal's refits.
 
-    m1 is solved in closed form; the others run :func:`_newton` from
-    ``opts.init`` or a cold start.  A warm start checks the design's rank
-    unless that check has passed before.  The whole fit runs under one
-    ``np.errstate``.  Returns (params, objective, converged, iterations,
-    fitted values of the final derivative pass).
+    m1 is solved in closed form, and its objective and fitted values
+    (linear predictor, sigma) come from the OLS fit itself.  The others run
+    :func:`_newton` from ``opts.init`` or a cold start.  Every fit checks
+    the design's rank: a cold start with its OLS fit, a warm start with
+    :meth:`_Likelihood.pinv`, whose SVD is made once per workspace, so the
+    refits of one full-conformal interval share it.  The whole fit runs
+    under one ``np.errstate``.  Returns (params, objective, converged,
+    iterations, fitted values of the final derivative pass).
     """
     if lik.n < lik.k + 1:
         raise FitError(f"need at least p + 2 = {lik.k + 1} observations, got {lik.n}")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if lik.family is ModelFamily.TRANSFORM_HOMO:
-            coef, sigma2 = _ols_logit(lik)
-            x = np.concatenate([coef, [0.5 * np.log(sigma2)]])
-            f, rows = lik.evaluate(x)
-            return x, f, True, 0, rows[2]
+            coef, lin, resid, sigma2 = _ols_logit(lik)
+            log_sigma = 0.5 * np.log(sigma2)
+            f = 0.5 * LOG_2PI + log_sigma + 0.5 * float(resid @ resid) / (lik.n * sigma2)
+            return np.concatenate([coef, [log_sigma]]), float(f), True, 0, (lin, np.exp(log_sigma))
         if opts.init is None:
             x0 = _initial_params(lik)
         else:
-            if not lik.full_rank:
-                lik.pinv()  # raises SingularDesign for a rank-deficient design
+            lik.pinv()  # raises SingularDesign for a rank-deficient design
             x0 = np.asarray(opts.init, dtype=float)
         _split_params(x0, lik.k - 1, lik.family)  # validates the layout
-        return _newton(lik, x0, opts)
+        return _newton(lik, x0)
 
 
 def fit(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> FittedModel:
@@ -619,15 +615,12 @@ def fit(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> Fitte
     logit scale, residual variance with the maximum likelihood divisor).
     The others run damped Newton on the mean negative log-likelihood from
     ``opts.init`` or a moment-based start (m4 starts from the m3 fit); a
-    fit that has not met ``opts.gtol`` when no step improves the objective
-    or ``opts.max_iter`` iterations have run is reported with
-    ``converged=False``.  Never raises for non-convergence; raises
-    :class:`SingularDesign` for a rank-deficient design.  The rank check
-    comes with the OLS fit of a cold start; a warm start runs it as an SVD,
-    except on an augmented copy of a design that already passed it.
+    fit that has not met ``GTOL`` when no step improves the objective or
+    ``MAX_ITER`` iterations have run is reported with ``converged=False``.
+    Never raises for non-convergence; raises :class:`SingularDesign` for a
+    rank-deficient design.
     """
     x, f, converged, iterations, _ = _solve(_Likelihood(data, spec.family), opts or FitOptions())
-    data._mark_full_rank()
     return _build(data, spec, x, f, converged, iterations)
 
 

@@ -232,7 +232,7 @@ def scenario_mu(cfg: ScenarioConfig, X: np.ndarray) -> np.ndarray:
 
 
 def _coverage_rep(task) -> tuple[bool, float, float, int]:
-    (cfg, spec, kind, method, alpha, split_fraction, tolerance, rho, grid_step, rep) = task
+    cfg, spec, kind, method, alpha, rep = task
     failures = 0
     for attempt in range(_MAX_REPLACEMENTS):
         seed = cfg.rng_seed + attempt * REPLACEMENT_STEP
@@ -245,13 +245,9 @@ def _coverage_rep(task) -> tuple[bool, float, float, int]:
         start = time.process_time()
         try:
             if method is Method.SPLIT:
-                interval = split_cp(
-                    data, x_new, spec, kind, SplitConfig(alpha, split_fraction, split_seed)
-                )
+                interval = split_cp(data, x_new, spec, kind, SplitConfig(alpha, rng_seed=split_seed))
             else:
-                interval = full_cp(
-                    data, x_new, spec, kind, FullConfig(alpha, tolerance, rho, grid_step)
-                )
+                interval = full_cp(data, x_new, spec, kind, FullConfig(alpha))
         except FitError:
             failures += 1
             continue
@@ -268,10 +264,6 @@ def run_coverage(
     alpha: float,
     replications: int,
     *,
-    split_fraction: float = 0.5,
-    tolerance: float = 1e-4,
-    rho: float = 3.0,
-    grid_step: float = 1e-4,
     workers: int = 1,
 ) -> CoverageReport:
     """Monte Carlo coverage experiment for one scenario/model/method cell.
@@ -279,16 +271,16 @@ def run_coverage(
     Each replication draws a fresh dataset plus one test pair from its own
     seed-derived stream, so results are reproducible and independent of
     ``workers``.  A replication whose fit fails is rerun from a replaced
-    stream and the failure counted.
+    stream and the failure counted.  Intervals are built at the default
+    settings: split CP with ``SplitConfig(alpha, rng_seed=...)``, its split
+    seed drawn from the replication's stream, and full CP with
+    ``FullConfig(alpha)``.
     """
     if replications < 1:
         raise ValueError("replications must be positive")
     if method is Method.BOOTSTRAP:
         raise ValueError("run_coverage covers the conformal methods only")
-    tasks = [
-        (scenario, spec, kind, method, alpha, split_fraction, tolerance, rho, grid_step, rep)
-        for rep in range(replications)
-    ]
+    tasks = [(scenario, spec, kind, method, alpha, rep) for rep in range(replications)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_coverage_rep, tasks, chunksize=8))

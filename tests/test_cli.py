@@ -20,6 +20,7 @@ from unitcp.cli import (
     INTERVAL_COLUMNS,
     INTERVALS_SCHEMA,
 )
+from unitcp import cli
 from unitcp.datasets import bodyfat_path
 
 
@@ -182,6 +183,32 @@ def test_simulate_empty_grid_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert "usage" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_rejects_bootstrap_before_any_cell(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_coverage", lambda *a, **k: calls.append(a))
+    code = main([
+        "simulate", "--scenario", "s1", "--model", "m1", "--method", "split,bootstrap",
+        "--n", "30", "--replications-split", "2", "--output", str(tmp_path / "x.csv"),
+    ])
+    assert code == 1
+    assert calls == []
+    assert "usage" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "0", "-0.5"])
+def test_analyze_test_fraction_outside_unit_interval_is_usage_error(tmp_path, capsys, fraction):
+    train = small_csv(tmp_path, n=40, seed=2)
+    outdir = tmp_path / "an"
+    code = main([
+        "analyze", "--input", train, "--method", "split", f"--test-fraction={fraction}",
+        "--output", str(outdir),
+    ])
+    assert code == 1
+    assert "test-fraction" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

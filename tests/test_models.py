@@ -20,7 +20,7 @@ from unitcp import (
 )
 from unitcp.cli import load_csv
 from unitcp.datasets import bodyfat_path
-from unitcp.models import _Likelihood, _initial_params
+from unitcp.models import MAX_ITER, _Likelihood, _initial_params
 
 from conftest import make_scenario_data
 
@@ -336,7 +336,7 @@ def test_newton_matches_bfgs_reference(spec, scenario, disp):
     sim, _, _ = make_scenario_data(scenario, 200, disp, seed=21)
     for data in (sim, load_csv(bodyfat_path())):
         m = fit(data, spec)
-        assert m.converged and 0 < m.iterations <= FitOptions().max_iter
+        assert m.converged and 0 < m.iterations <= MAX_ITER
         ref = _bfgs_reference(data, spec, _initial_params(_Likelihood(data, spec.family)))
         assert np.max(np.abs(m.params - ref)) < 1e-6
         # a warm-started refit of the data plus one point, as full CP does
@@ -354,10 +354,9 @@ def test_fit_without_mle_reports_nonconvergence(spec):
     dummy = np.zeros(15)
     dummy[0] = 1.0
     data = Dataset(np.clip(rng.beta(4.0, 6.0, 15), 0.01, 0.99), np.column_stack([dummy, rng.normal(size=15)]))
-    opts = FitOptions(max_iter=50)
-    m = fit(data, spec, opts)
+    m = fit(data, spec)
     assert not m.converged
-    assert m.iterations <= opts.max_iter
+    assert m.iterations <= MAX_ITER
 
 
 def test_mle_is_local_maximum():

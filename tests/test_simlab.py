@@ -5,11 +5,13 @@ import pytest
 
 from unitcp import (
     Dataset,
+    FullConfig,
     Method,
     PredictionInterval,
     Scenario,
     ScenarioConfig,
     ScoreKind,
+    SplitConfig,
     bootstrap_interval,
     expit,
     gen_covariates,
@@ -17,6 +19,7 @@ from unitcp import (
     run_coverage,
     union_intersection,
 )
+from unitcp import simlab
 from unitcp.simlab import (
     MEAN_COEF_CONSERVATIVE,
     MEAN_COEF_STANDARD,
@@ -154,6 +157,30 @@ def test_split_coverage_near_nominal():
     rep = run_coverage(cfg, M1, ScoreKind.RAW, Method.SPLIT, 0.1, R)
     band = 3.0 * np.sqrt(0.1 * 0.9 / R)
     assert abs(rep.coverage - 0.9) < band + 0.01
+
+
+@pytest.mark.parametrize("method", [Method.SPLIT, Method.FULL])
+def test_run_coverage_builds_default_configs(monkeypatch, method):
+    """run_coverage takes no interval settings: every config it passes has
+    the defaults, split CP's with its own split seed per replication."""
+    seen = []
+
+    def spy(real):
+        def wrapped(data, x_new, spec, kind, cfg):
+            seen.append(cfg)
+            return real(data, x_new, spec, kind, cfg)
+        return wrapped
+
+    monkeypatch.setattr(simlab, "split_cp", spy(simlab.split_cp))
+    monkeypatch.setattr(simlab, "full_cp", spy(simlab.full_cp))
+    cfg = ScenarioConfig(Scenario.TRANSFORM_HOMO, 30, 0.63, rng_seed=4)
+    run_coverage(cfg, M1, ScoreKind.RAW, method, 0.2, 3)
+    assert len(seen) == 3
+    if method is Method.SPLIT:
+        assert all(c == SplitConfig(0.2, rng_seed=c.rng_seed) for c in seen)
+        assert len({c.rng_seed for c in seen}) == 3
+    else:
+        assert all(c == FullConfig(0.2) for c in seen)
 
 
 def test_run_coverage_rejects_bootstrap_method():
