@@ -45,6 +45,7 @@ from .simlab import (
     ScenarioConfig,
     bootstrap_interval,
     run_coverage,
+    summarize,
     union_intersection,
 )
 
@@ -88,8 +89,6 @@ ANALYSIS_BATTERY = [
     (ModelFamily.BETA_MEAN_DISP, ScoreKind.PEARSON),
     (ModelFamily.BETA_MEAN_DISP, ScoreKind.QUANTILE),
 ]
-
-WORKERS_ENV = "UNITCP_WORKERS"
 
 
 class UsageError(Exception):
@@ -269,14 +268,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _bounded(convert, accept, condition: str):
+    """An argparse ``type=`` that converts with ``convert`` and rejects a
+    value outside ``accept`` as a usage error, before any data are read."""
+
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {condition}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_UNIT_FRACTION = _bounded(float, lambda v: 0.0 < v < 1.0, "strictly in (0, 1)")
+_POSITIVE = _bounded(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_COUNT = _bounded(int, lambda v: v >= 1, "at least 1")
+_SEED = _bounded(int, lambda v: v >= 0, "non-negative")
+_BOOTSTRAP_B = _bounded(int, lambda v: v >= 100, "at least 100")
+
+
 def _add_common(p):
-    p.add_argument("--alpha", type=float, default=0.1, help="miscoverage level (default 0.1)")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    p.add_argument("--alpha", type=_UNIT_FRACTION, default=0.1, help="miscoverage level (default 0.1)")
+    p.add_argument("--seed", type=_SEED, default=0, help="base RNG seed (default 0)")
 
 
 def _add_rho(p):
     help_ = "full CP searches m1/m2 over the classical interval plus rho widths per side (default %(default)s)"
-    p.add_argument("--rho", type=float, default=FullConfig.rho, help=help_)
+    p.add_argument("--rho", type=_POSITIVE, default=FullConfig.rho, help=help_)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--score", default=None, help="raw|pearson|quantile (default per model)")
     p_pred.add_argument("--method", default="split", choices=["split", "full", "bootstrap"])
     _add_rho(p_pred)
-    p_pred.add_argument("--bootstrap-b", type=int, default=500)
+    p_pred.add_argument("--bootstrap-b", type=_BOOTSTRAP_B, default=500)
     p_pred.add_argument("--rescale", nargs=2, type=float, metavar=("A", "B"))
     p_pred.add_argument("--output", required=True)
     _add_common(p_pred)
@@ -309,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--method", default="split,full", help="comma list of split,full")
     p_sim.add_argument("--n", default="100", help="comma list of sample sizes")
     p_sim.add_argument("--dispersion", type=float, default=None, help="sigma (s1) or phi (s3) level")
-    p_sim.add_argument("--replications-split", type=int, default=1000)
-    p_sim.add_argument("--replications-full", type=int, default=200)
-    p_sim.add_argument("--workers", type=int, default=None, help=f"default ${WORKERS_ENV} or 1")
+    p_sim.add_argument("--replications-split", type=_COUNT, default=1000)
+    p_sim.add_argument("--replications-full", type=_COUNT, default=200)
+    p_sim.add_argument("--workers", type=_COUNT, default=1, help="worker processes (default 1)")
     p_sim.add_argument("--output", required=True)
     _add_common(p_sim)
 
@@ -320,10 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--model", default=None, help="restrict families (comma list)")
     p_an.add_argument("--score", default=None, help="restrict scores (comma list)")
     p_an.add_argument("--method", default="split,full", help="comma list of split,full,bootstrap")
-    p_an.add_argument("--seeds", type=int, default=1, help="number of random construction/test splits")
-    p_an.add_argument("--test-fraction", type=float, default=0.1, help="test share, in (0, 1) (default %(default)s)")
+    p_an.add_argument("--seeds", type=_COUNT, default=1, help="number of random construction/test splits")
+    p_an.add_argument(
+        "--test-fraction", type=_UNIT_FRACTION, default=0.1, help="test share, in (0, 1) (default %(default)s)"
+    )
     _add_rho(p_an)
-    p_an.add_argument("--bootstrap-b", type=int, default=500)
+    p_an.add_argument("--bootstrap-b", type=_BOOTSTRAP_B, default=500)
     p_an.add_argument("--rescale", nargs=2, type=float, metavar=("A", "B"))
     p_an.add_argument("--output", required=True, help="output directory")
     _add_common(p_an)
@@ -331,16 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_name(token: str, convert, label: str):
+    try:
+        return convert(token)
+    except ValueError as exc:
+        raise UsageError(f"bad {label} {token!r}: {exc}") from exc
+
+
 def _parse_list(raw: str, convert, label: str):
     out = []
     for token in raw.split(","):
         token = token.strip()
-        if not token:
-            continue
-        try:
-            out.append(convert(token))
-        except ValueError as exc:
-            raise UsageError(f"bad {label} {token!r}: {exc}") from exc
+        if token:
+            out.append(_parse_name(token, convert, label))
     if not out:
         raise UsageError(f"empty {label} list")
     return out
@@ -367,8 +392,8 @@ def _battery(model_filter, score_filter):
 
 
 def _cmd_fit(args) -> int:
+    family = _parse_name(args.model, ModelFamily.from_name, "model")
     data = load_csv(args.input, rescale=tuple(args.rescale) if args.rescale else None)
-    family = ModelFamily.from_name(args.model)
     model = fit(data, ModelSpec(family))
     payload = {
         "family": family.value,
@@ -397,40 +422,44 @@ def _read_new_covariates(path, expected_names):
     return _parse_cells(path, header, rows)
 
 
+def _intervals(method: Method, data, X_new, spec, kind, args, split_seed, seed_prefix):
+    """Intervals of one method for every row of ``X_new``, with the process
+    CPU seconds charged to each: ``(intervals, cpus)``.
+
+    Split CP runs one batch with split seed ``split_seed`` and charges every
+    row an equal share of its CPU time.  Full CP and the bootstrap run row by
+    row; bootstrap row i draws from seed ``[*seed_prefix, i]`` and ignores
+    ``kind``.  ``args`` supplies ``alpha``, ``rho`` and ``bootstrap_b``.
+    """
+    if method is Method.SPLIT:
+        start = time.process_time()
+        intervals = split_cp_batch(data, X_new, spec, kind, SplitConfig(args.alpha, rng_seed=split_seed))
+        return intervals, [(time.process_time() - start) / len(X_new)] * len(X_new)
+    cfg = FullConfig(args.alpha, rho=args.rho)
+    intervals, cpus = [], []
+    for i, x in enumerate(X_new):
+        start = time.process_time()
+        if method is Method.FULL:
+            intervals.append(full_cp(data, x, spec, kind, cfg))
+        else:
+            intervals.append(bootstrap_interval(data, x, spec, args.alpha, args.bootstrap_b, [*seed_prefix, i]))
+        cpus.append(time.process_time() - start)
+    return intervals, cpus
+
+
 def _cmd_predict(args) -> int:
+    method = Method(args.method)
+    family = _parse_name(args.model, ModelFamily.from_name, "model")
+    kind = _parse_name(args.score, ScoreKind.from_name, "score") if args.score else _default_score(family)
+    if not kind.valid_for(family):
+        raise UsageError(f"the {kind.value} score is not defined for {family.value}")
     rescale = tuple(args.rescale) if args.rescale else None
     names, y, X = _read_table(args.input, rescale)
-    data = Dataset(y, X)
-    family = ModelFamily.from_name(args.model)
-    spec = ModelSpec(family)
-    kind = ScoreKind.from_name(args.score) if args.score else _default_score(family)
     X_new = _read_new_covariates(args.new, names)
 
-    if args.method == "split":
-        intervals = split_cp_batch(data, X_new, spec, kind, SplitConfig(args.alpha, rng_seed=args.seed))
-    elif args.method == "full":
-        cfg = FullConfig(args.alpha, rho=args.rho)
-        intervals = [full_cp(data, x, spec, kind, cfg) for x in X_new]
-    else:
-        intervals = [
-            bootstrap_interval(data, x, spec, args.alpha, args.bootstrap_b, [args.seed, i])
-            for i, x in enumerate(X_new)
-        ]
-
-    rows = [
-        {
-            "seed": args.seed,
-            "model": family.value,
-            "score": kind.value if args.method != "bootstrap" else "-",
-            "method": args.method,
-            "test_index": i,
-            "lower": iv.lower,
-            "upper": iv.upper,
-            "truth": float("nan"),
-            "covered": "",
-        }
-        for i, iv in enumerate(intervals)
-    ]
+    intervals, _ = _intervals(method, Dataset(y, X), X_new, ModelSpec(family), kind, args, args.seed, [args.seed])
+    score_name = "-" if method is Method.BOOTSTRAP else kind.value
+    rows = [_interval_row(args.seed, family.value, score_name, method.value, i, iv) for i, iv in enumerate(intervals)]
     meta = {"alpha": args.alpha, "input": args.input, "rows": len(rows)}
     _write_atomic(args.output, _render_csv(INTERVALS_SCHEMA, INTERVAL_COLUMNS, rows, meta))
     return 0
@@ -443,9 +472,6 @@ def _cmd_simulate(args) -> int:
         raise UsageError("simulate supports split and full methods")
     combos = _battery(args.model, args.score)
     sizes = _parse_list(args.n, int, "sample size")
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
 
     rows = []
     for scenario in scenarios:
@@ -459,23 +485,10 @@ def _cmd_simulate(args) -> int:
                 for method in methods:
                     reps = args.replications_split if method is Method.SPLIT else args.replications_full
                     report = run_coverage(
-                        cfg, ModelSpec(family), kind, method, args.alpha, reps, workers=workers
+                        cfg, ModelSpec(family), kind, method, args.alpha, reps, workers=args.workers
                     )
                     rows.append(
-                        {
-                            "scenario": scenario.value,
-                            "model": family.value,
-                            "score": kind.value,
-                            "method": method.value,
-                            "n": n,
-                            "alpha": args.alpha,
-                            "replications": reps,
-                            "coverage": report.coverage,
-                            "avg_width": report.avg_width,
-                            "cpu_mean": report.avg_cpu_seconds,
-                            "cpu_sd": report.cpu_sd,
-                            "failures": report.failures_replaced,
-                        }
+                        _results_row(scenario.value, family.value, kind.value, method.value, n, args.alpha, report)
                     )
     meta = {
         "replications-split": args.replications_split,
@@ -487,26 +500,19 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if not 0.0 < args.test_fraction < 1.0:
-        raise UsageError(f"--test-fraction must lie strictly in (0, 1), got {args.test_fraction}")
     rescale = tuple(args.rescale) if args.rescale else None
     path = args.input if args.input else bodyfat_path()
     data = load_csv(path, rescale)
     combos = _battery(args.model, args.score)
     methods = _parse_list(args.method, Method, "method")
-    if args.seeds < 1:
-        raise UsageError("--seeds must be positive")
     n_test = max(1, round(args.test_fraction * data.n))
 
     interval_rows = []
-    agg: dict[tuple, dict] = {}
+    outcomes: dict[tuple, list] = {}  # (model, score, method) -> (covered, width, cpu, failures)
 
-    def record(key, iv, truth, cpu):
-        slot = agg.setdefault(key, {"covered": 0, "width": 0.0, "count": 0, "cpu": []})
-        slot["count"] += 1
-        slot["covered"] += int(iv.contains(truth))
-        slot["width"] += iv.width
-        slot["cpu"].append(cpu)
+    def record(key, s, i, iv, truth, cpu):
+        outcomes.setdefault(key, []).append((iv.contains(truth), iv.width, cpu, 0))
+        interval_rows.append(_interval_row(s, *key, i, iv, truth))
 
     for s in range(args.seeds):
         rng = np.random.default_rng([args.seed, s])
@@ -517,69 +523,25 @@ def _cmd_analyze(args) -> int:
         split_seed = int(rng.integers(0, 2**63 - 1))
 
         for method in methods:
+            if method is Method.BOOTSTRAP:  # one interval per family: it uses no score
+                pairs = [(fam, None) for fam in dict.fromkeys(fam for fam, _ in combos)]
+            else:
+                pairs = combos
             per_point: list[list] = [[] for _ in range(n_test)]
-            if method is Method.BOOTSTRAP:
-                for fam in dict.fromkeys(fam for fam, _ in combos):
-                    spec = ModelSpec(fam)
-                    for i in range(n_test):
-                        start = time.process_time()
-                        iv = bootstrap_interval(
-                            cons, X_test[i], spec, args.alpha, args.bootstrap_b, [args.seed, s, i]
-                        )
-                        cpu = time.process_time() - start
-                        record((fam.value, "-", method.value), iv, y_test[i], cpu)
-                        interval_rows.append(
-                            _interval_row(s, fam.value, "-", method.value, i, iv, y_test[i])
-                        )
-                continue
-            for fam, kind in combos:
-                spec = ModelSpec(fam)
-                if method is Method.SPLIT:
-                    cfg = SplitConfig(args.alpha, rng_seed=split_seed)
-                    start = time.process_time()
-                    ivs = split_cp_batch(cons, X_test, spec, kind, cfg)
-                    cpu = (time.process_time() - start) / n_test
-                    cpus = [cpu] * n_test
-                else:
-                    cfg = FullConfig(args.alpha, rho=args.rho)
-                    ivs, cpus = [], []
-                    for i in range(n_test):
-                        start = time.process_time()
-                        ivs.append(full_cp(cons, X_test[i], spec, kind, cfg))
-                        cpus.append(time.process_time() - start)
+            for fam, kind in pairs:
+                ivs, cpus = _intervals(method, cons, X_test, ModelSpec(fam), kind, args, split_seed, [args.seed, s])
+                key = (fam.value, kind.value if kind else "-", method.value)
                 for i, iv in enumerate(ivs):
-                    record((fam.value, kind.value, method.value), iv, y_test[i], cpus[i])
-                    interval_rows.append(_interval_row(s, fam.value, kind.value, method.value, i, iv, y_test[i]))
+                    record(key, s, i, iv, y_test[i], cpus[i])
                     per_point[i].append(iv)
-            if len(combos) >= 2:
+            if method is not Method.BOOTSTRAP and len(combos) >= 2:
                 for i, ivs in enumerate(per_point):
-                    union, inter = union_intersection(ivs)
-                    record(("union", "-", method.value), union, y_test[i], 0.0)
-                    record(("intersection", "-", method.value), inter, y_test[i], 0.0)
-                    interval_rows.append(_interval_row(s, "union", "-", method.value, i, union, y_test[i]))
-                    interval_rows.append(
-                        _interval_row(s, "intersection", "-", method.value, i, inter, y_test[i])
-                    )
+                    for model, iv in zip(("union", "intersection"), union_intersection(ivs)):
+                        record((model, "-", method.value), s, i, iv, y_test[i], 0.0)
 
-    result_rows = []
-    for (model, score_name, method_name), slot in agg.items():
-        cpus = np.array(slot["cpu"])
-        result_rows.append(
-            {
-                "scenario": "analyze",
-                "model": model,
-                "score": score_name,
-                "method": method_name,
-                "n": data.n,
-                "alpha": args.alpha,
-                "replications": slot["count"],
-                "coverage": slot["covered"] / slot["count"],
-                "avg_width": slot["width"] / slot["count"],
-                "cpu_mean": float(cpus.mean()),
-                "cpu_sd": float(cpus.std(ddof=1)) if len(cpus) > 1 else 0.0,
-                "failures": 0,
-            }
-        )
+    result_rows = [
+        _results_row("analyze", *key, data.n, args.alpha, summarize(cell)) for key, cell in outcomes.items()
+    ]
     meta = {
         "input": str(path),
         "seeds": args.seeds,
@@ -593,7 +555,9 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _interval_row(seed, model, score_name, method_name, index, iv, truth):
+def _interval_row(seed, model, score_name, method_name, index, iv, truth=None):
+    """One intervals-CSV row; without a ``truth`` (predict) the truth is nan
+    and ``covered`` is empty."""
     return {
         "seed": seed,
         "model": model,
@@ -602,8 +566,26 @@ def _interval_row(seed, model, score_name, method_name, index, iv, truth):
         "test_index": index,
         "lower": iv.lower,
         "upper": iv.upper,
-        "truth": float(truth),
-        "covered": int(iv.contains(truth)),
+        "truth": float("nan") if truth is None else float(truth),
+        "covered": "" if truth is None else int(iv.contains(truth)),
+    }
+
+
+def _results_row(scenario, model, score_name, method_name, n, alpha, report):
+    """One results-CSV row from a ``CoverageReport``."""
+    return {
+        "scenario": scenario,
+        "model": model,
+        "score": score_name,
+        "method": method_name,
+        "n": n,
+        "alpha": alpha,
+        "replications": report.replications,
+        "coverage": report.coverage,
+        "avg_width": report.avg_width,
+        "cpu_mean": report.avg_cpu_seconds,
+        "cpu_sd": report.cpu_sd,
+        "failures": report.failures_replaced,
     }
 
 
@@ -615,8 +597,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not 0.0 < getattr(args, "alpha", 0.5) < 1.0:
-            raise UsageError(f"--alpha must lie strictly in (0, 1), got {args.alpha}")
         handler = {
             "fit": _cmd_fit,
             "predict": _cmd_predict,

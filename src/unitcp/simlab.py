@@ -46,6 +46,7 @@ __all__ = [
     "gen_covariates",
     "gen_response",
     "run_coverage",
+    "summarize",
     "bootstrap_interval",
     "union_intersection",
 ]
@@ -274,7 +275,8 @@ def run_coverage(
     stream and the failure counted.  Intervals are built at the default
     settings: split CP with ``SplitConfig(alpha, rng_seed=...)``, its split
     seed drawn from the replication's stream, and full CP with
-    ``FullConfig(alpha)``.
+    ``FullConfig(alpha)``.  The replications' outcomes are aggregated by
+    :func:`summarize`.
     """
     if replications < 1:
         raise ValueError("replications must be positive")
@@ -283,20 +285,29 @@ def run_coverage(
     tasks = [(scenario, spec, kind, method, alpha, rep) for rep in range(replications)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_coverage_rep, tasks, chunksize=8))
-    else:
-        results = [_coverage_rep(t) for t in tasks]
+            return summarize(list(pool.map(_coverage_rep, tasks, chunksize=8)))
+    return summarize([_coverage_rep(t) for t in tasks])
 
-    covered = sum(r[0] for r in results)
-    widths = np.array([r[1] for r in results])
-    cpus = np.array([r[2] for r in results])
+
+def summarize(outcomes) -> CoverageReport:
+    """Aggregate a non-empty list of ``(covered, width, cpu, failures)``
+    interval outcomes, one per replication or test point.
+
+    Coverage is the share covered, ``avg_width`` the mean width,
+    ``avg_cpu_seconds`` and ``cpu_sd`` the mean and sample standard
+    deviation (ddof=1; 0 for a single outcome) of the CPU seconds, and
+    ``failures_replaced`` the sum of the failure counts.
+    """
+    covered, widths, cpus, failures = zip(*outcomes)
+    count = len(outcomes)
+    cpus = np.array(cpus)
     return CoverageReport(
-        coverage=covered / replications,
-        avg_width=float(widths.mean()),
-        replications=replications,
+        coverage=sum(covered) / count,
+        avg_width=float(np.mean(widths)),
+        replications=count,
         avg_cpu_seconds=float(cpus.mean()),
-        cpu_sd=float(cpus.std(ddof=1)) if replications > 1 else 0.0,
-        failures_replaced=sum(r[3] for r in results),
+        cpu_sd=float(cpus.std(ddof=1)) if count > 1 else 0.0,
+        failures_replaced=sum(failures),
     )
 
 

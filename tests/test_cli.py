@@ -211,6 +211,57 @@ def test_analyze_test_fraction_outside_unit_interval_is_usage_error(tmp_path, ca
     assert not outdir.exists()
 
 
+# each case's own values come after these, so they win
+_SMALL_RUN = {
+    "fit": ["--input", "{train}"],
+    "predict": ["--input", "{train}", "--new", "{new}"],
+    "analyze": ["--input", "{train}"],
+    "simulate": ["--scenario", "s1", "--model", "m1", "--n", "30", "--replications-split", "2",
+                 "--replications-full", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["predict", "--model", "m1", "--rho", "-1"], id="predict-rho"),
+    pytest.param(
+        ["predict", "--model", "m1", "--method", "bootstrap", "--bootstrap-b", "50"], id="predict-bootstrap-b"
+    ),
+    pytest.param(["predict", "--model", "m1", "--seed", "-1"], id="predict-seed"),
+    pytest.param(["predict", "--model", "m9"], id="predict-model"),
+    pytest.param(["predict", "--model", "m1", "--score", "foo"], id="predict-score"),
+    pytest.param(["predict", "--model", "m3", "--score", "raw"], id="predict-model-score-pair"),
+    pytest.param(["fit", "--model", "m9"], id="fit-model"),
+    pytest.param(["simulate", "--replications-split", "0"], id="simulate-replications-split"),
+    pytest.param(["simulate", "--method", "full", "--replications-full", "0"], id="simulate-replications-full"),
+    pytest.param(["simulate", "--workers", "0"], id="simulate-workers"),
+    pytest.param(["analyze", "--method", "split,full", "--rho", "0"], id="analyze-rho"),
+    pytest.param(["analyze", "--seeds", "0"], id="analyze-seeds"),
+])
+def test_bad_option_values_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    """A bad value or name exits 1 before data are read or any interval is built."""
+    calls = []
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def wrapped(*a, **k):
+            calls.append(name)
+            return real(*a, **k)
+        return wrapped
+
+    for name in ("_read_table", "split_cp_batch", "run_coverage"):
+        monkeypatch.setattr(cli, name, spy(name))
+    paths = {"train": small_csv(tmp_path), "new": write(tmp_path, "new.csv", "x1,x2\n0.0,0.0\n")}
+    out = tmp_path / "out"
+    command, *values = argv
+    run = [arg.format(**paths) for arg in _SMALL_RUN[command]]
+    code = main([command, *run, *values, "--output", str(out)])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -287,14 +338,39 @@ def test_analyze_union_intersection_rows(tmp_path):
 def test_analyze_deterministic(tmp_path):
     train = small_csv(tmp_path, n=50, seed=9)
     argv = [
-        "analyze", "--input", train, "--model", "m1", "--method", "split",
-        "--seeds", "2", "--seed", "4",
+        "analyze", "--input", train, "--model", "m1", "--method", "split,full,bootstrap",
+        "--bootstrap-b", "100", "--seeds", "2", "--seed", "4",
     ]
     assert main(argv + ["--output", str(tmp_path / "r1")]) == 0
     assert main(argv + ["--output", str(tmp_path / "r2")]) == 0
     a = (tmp_path / "r1" / "intervals.csv").read_text()
     b = (tmp_path / "r2" / "intervals.csv").read_text()
     assert a == b
+    _, rows = read_results_csv(tmp_path / "r1" / "intervals.csv")
+    assert {r["method"] for r in rows} == {"split", "full", "bootstrap"}
+
+
+def test_analyze_bootstrap_rows_per_family(tmp_path):
+    """Bootstrap gives one row per family with score '-', and no
+    union/intersection rows; split gives one per model/score pair plus both."""
+    train = small_csv(tmp_path, n=40, seed=6)
+    outdir = tmp_path / "an"
+    code = main([
+        "analyze", "--input", train, "--model", "m1,m3", "--method", "split,bootstrap",
+        "--bootstrap-b", "100", "--seeds", "2", "--seed", "7", "--output", str(outdir),
+    ])
+    assert code == 0
+    _, results = read_results_csv(outdir / "results.csv")
+    keys = [(r["model"], r["score"], r["method"]) for r in results]
+    assert keys == [
+        ("m1", "raw", "split"), ("m3", "pearson", "split"), ("m3", "quantile", "split"),
+        ("union", "-", "split"), ("intersection", "-", "split"),
+        ("m1", "-", "bootstrap"), ("m3", "-", "bootstrap"),
+    ]
+    assert all(r["replications"] == 8 for r in results)  # 2 seeds x 4 test points
+    _, intervals = read_results_csv(outdir / "intervals.csv")
+    assert len(intervals) == 2 * 4 * len(keys)
+    assert sum(r["method"] == "bootstrap" for r in intervals) == 2 * 4 * 2
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +424,8 @@ def test_no_partial_file_on_failure(tmp_path):
 
 def test_predict_full_and_bootstrap_methods(tmp_path):
     train = small_csv(tmp_path, n=50, seed=5)
-    new = write(tmp_path, "new.csv", "x1,x2\n0.1,-0.2\n")
-    for method in ("full", "bootstrap"):
+    new = write(tmp_path, "new.csv", "x1,x2\n0.1,-0.2\n0.1,-0.2\n")  # one row twice
+    for method in ("split", "full", "bootstrap"):
         out = tmp_path / f"pred_{method}.csv"
         code = main([
             "predict", "--input", train, "--new", new, "--model", "m3",
@@ -358,8 +434,15 @@ def test_predict_full_and_bootstrap_methods(tmp_path):
         ])
         assert code == 0
         _, rows = read_results_csv(out)
-        assert len(rows) == 1
-        assert 0.0 <= rows[0]["lower"] <= rows[0]["upper"] <= 1.0
+        assert [row["test_index"] for row in rows] == [0, 1]
+        for row in rows:
+            assert 0.0 <= row["lower"] <= row["upper"] <= 1.0
+            assert (row["model"], row["method"], row["seed"]) == ("m3", method, 1)
+            assert row["score"] == ("-" if method == "bootstrap" else "quantile")
+            assert np.isnan(row["truth"]) and row["covered"] == ""
+        # each bootstrap row draws from its own seed; the conformal methods are deterministic
+        same = (rows[0]["lower"], rows[0]["upper"]) == (rows[1]["lower"], rows[1]["upper"])
+        assert same == (method != "bootstrap")
 
 
 def test_simulate_full_method_cell(tmp_path):
