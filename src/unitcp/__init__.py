@@ -9,7 +9,6 @@ experiments.
 from .conformal import (
     FullConfig,
     IntervalSearchWarning,
-    Method,
     PredictionInterval,
     SplitConfig,
     classical_gauss_interval,
@@ -22,7 +21,6 @@ from .conformal import (
 from .models import (
     Dataset,
     FitError,
-    FitOptions,
     FittedModel,
     ModelFamily,
     ModelSpec,
@@ -44,6 +42,7 @@ from .numeric import (
 from .scores import ScoreKind, score
 from .simlab import (
     CoverageReport,
+    Method,
     Scenario,
     ScenarioConfig,
     bootstrap_interval,
@@ -60,7 +59,6 @@ __all__ = [
     "CoverageReport",
     "Dataset",
     "FitError",
-    "FitOptions",
     "FittedModel",
     "FullConfig",
     "IntervalSearchWarning",

@@ -30,17 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conformal import (
-    FullConfig,
-    Method,
-    SplitConfig,
-    full_cp,
-    split_cp_batch,
-)
+from .conformal import FullConfig, SplitConfig, full_cp, split_cp_batch
 from .datasets import bodyfat_path
 from .models import Dataset, FitError, ModelFamily, ModelSpec, fit
 from .scores import ScoreKind
 from .simlab import (
+    Method,
     Scenario,
     ScenarioConfig,
     bootstrap_interval,
@@ -506,6 +501,15 @@ def _cmd_analyze(args) -> int:
     combos = _battery(args.model, args.score)
     methods = _parse_list(args.method, Method, "method")
     n_test = max(1, round(args.test_fraction * data.n))
+    n_cons = data.n - n_test
+    for method in methods:
+        # split CP fits its training half, full CP and the bootstrap every construction row
+        rows = n_cons - n_cons // 2 if method is Method.SPLIT else n_cons
+        if rows < data.p + 2:
+            raise UsageError(
+                f"--test-fraction {args.test_fraction} leaves {n_cons} construction rows; {method.value} "
+                f"fits {rows} of them, and p = {data.p} covariates need at least {data.p + 2}"
+            )
 
     interval_rows = []
     outcomes: dict[tuple, list] = {}  # (model, score, method) -> (covered, width, cpu, failures)

@@ -25,18 +25,16 @@ interpolated between the two nearest (the base fit for the first).
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .models import (
     Dataset,
     FitError,
-    FitOptions,
     FittedModel,
     ModelSpec,
     NonConvergence,
@@ -45,10 +43,9 @@ from .models import (
     fit,
 )
 from .numeric import BetaParams, beta_quantile, expit, norm_cdf, norm_quantile
-from .scores import ScoreKind, _score_fitted, score
+from .scores import CDF_CLIP, ScoreKind, _score_fitted, score
 
 __all__ = [
-    "Method",
     "PredictionInterval",
     "SplitConfig",
     "FullConfig",
@@ -75,18 +72,9 @@ EDGE_AIM = 0.25
 # draws of np.random.default_rng(0).uniform(0.05, 0.9)
 PROBE_FRACTIONS = (0.5914174342232362, 0.27931870669928976, 0.08482749534576549)
 
-# quantile-score inversion clamps its CDF arguments here (matches the score clamp)
-_U_CLIP = 1e-12
-
 
 class IntervalSearchWarning(UserWarning):
     """The adaptive search saw evidence against a contiguous inclusion region."""
-
-
-class Method(enum.Enum):
-    SPLIT = "split"
-    FULL = "full"
-    BOOTSTRAP = "bootstrap"
 
 
 @dataclass(frozen=True)
@@ -94,14 +82,15 @@ class PredictionInterval:
     """Interval for a future response, possibly empty.
 
     ``level`` records the requested coverage 1 - alpha and is never
-    recomputed from the data.
+    recomputed from the data.  ``empty`` is keyword-only; an empty
+    interval's bounds are not checked (the package writes nan).  Which
+    method built the interval is the caller's to record.
     """
 
     lower: float
     upper: float
     level: float
-    method: Method
-    empty: bool = False
+    empty: bool = field(default=False, kw_only=True)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.level < 1.0:
@@ -138,26 +127,27 @@ class SplitConfig:
 class FullConfig:
     """Settings for full conformal prediction.
 
-    ``tolerance`` is the endpoint resolution of the beta families' search
-    in y; ``grid_step`` is the endpoint resolution of the transform
-    families' search on the logit scale.  Each returned endpoint is
-    included and lies within that resolution of the edge of the conformal
-    set.  ``rho`` extends the classical interval by ``rho`` widths on each
-    side to bound the transform families' search range.  These defaults
-    are the package's only ones: ``run_coverage`` uses them all, and the
-    CLI exposes only ``rho`` (``--rho``), whose default it reads from here.
+    ``rho`` extends the classical interval by ``rho`` widths on each side
+    to bound the transform families' search range.  Its default is the
+    package's only one: ``run_coverage`` uses it, and the CLI's ``--rho``
+    reads its default from here.  The endpoint resolutions are fixed, not
+    settings: ``tolerance`` in y for the beta families' search and
+    ``grid_step`` on the logit scale for the transform families'.  Each
+    returned endpoint is included and lies within that resolution of the
+    edge of the conformal set.
     """
 
+    tolerance: ClassVar[float] = 1e-4
+    grid_step: ClassVar[float] = 1e-4
+
     alpha: float
-    tolerance: float = 1e-4
     rho: float = 3.0
-    grid_step: float = 1e-4
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.tolerance <= 0.0 or self.rho <= 0.0 or self.grid_step <= 0.0:
-            raise ValueError("tolerance, rho and grid_step must be positive")
+        if self.rho <= 0.0:
+            raise ValueError("rho must be positive")
 
 
 def conformal_quantile(scores, alpha: float) -> float:
@@ -211,27 +201,20 @@ def _invert_split(
 ) -> PredictionInterval:
     """Closed-form solution of {y : score(y) <= q} for one new covariate."""
     if math.isinf(q):
-        return PredictionInterval(0.0, 1.0, level, Method.SPLIT)
+        return PredictionInterval(0.0, 1.0, level)
     if model.family.is_beta:
         mu = float(model.predict_mean(x_new))
         if kind is ScoreKind.PEARSON:
             half = q * float(model.predict_sigma(x_new))
             # additive form can escape the unit interval near the boundary
-            return PredictionInterval(max(0.0, mu - half), min(1.0, mu + half), level, Method.SPLIT)
+            return PredictionInterval(max(0.0, mu - half), min(1.0, mu + half), level)
         params = BetaParams(mu, float(model.predict_phi(x_new)))
-        u_lo = float(np.clip(norm_cdf(-q), _U_CLIP, 1.0 - _U_CLIP))
-        u_hi = float(np.clip(norm_cdf(q), _U_CLIP, 1.0 - _U_CLIP))
-        return PredictionInterval(
-            float(beta_quantile(u_lo, params)),
-            float(beta_quantile(u_hi, params)),
-            level,
-            Method.SPLIT,
-        )
+        u_lo = float(np.clip(norm_cdf(-q), CDF_CLIP, 1.0 - CDF_CLIP))
+        u_hi = float(np.clip(norm_cdf(q), CDF_CLIP, 1.0 - CDF_CLIP))
+        return PredictionInterval(float(beta_quantile(u_lo, params)), float(beta_quantile(u_hi, params)), level)
     center = float(model.predict_linear(x_new))
     half = q if kind is ScoreKind.RAW else q * float(model.predict_sigma(x_new))
-    return PredictionInterval(
-        float(expit(center - half)), float(expit(center + half)), level, Method.SPLIT
-    )
+    return PredictionInterval(float(expit(center - half)), float(expit(center + half)), level)
 
 
 def split_cp(
@@ -267,20 +250,15 @@ class _Refit(NamedTuple):
     iterations: int
 
 
-def _margin(
-    y: float,
-    ws: _Likelihood,
-    kind: ScoreKind,
-    alpha: float,
-    opts: FitOptions | None = None,
-) -> _Refit:
+def _margin(y: float, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> _Refit:
     """Signed inclusion margin of one candidate response, and its refit.
 
     ``ws`` is a candidate workspace, ``_Likelihood(data, family, x_new)``:
     the n rows of the data plus the row of ``x_new``.  The candidate y is
     written into that row, the family is refitted on the workspace, and
     the n + 1 scores are taken from the fitted values of the refit's last
-    derivative pass.  The margin is the candidate's score minus the k-th
+    derivative pass; the refit starts from the parameter vector ``init``,
+    or cold without it.  The margin is the candidate's score minus the k-th
     smallest score of the other n points, with k = ceil((1 - alpha)(n + 1)).
     The candidate is in the conformal set exactly when the margin is <= 0;
     the margin is -inf when k > n, where every candidate is.  Measured
@@ -289,7 +267,7 @@ def _margin(
     converge raises rather than silently excluding the candidate.
     """
     ws.set_candidate(y)
-    params, _, converged, iterations, fitted = _solve(ws, opts or FitOptions())
+    params, _, converged, iterations, fitted = _solve(ws, init)
     if not converged:
         raise NonConvergence(f"augmented fit did not converge at candidate {ws.y[-1]:.6g}")
     response = ws.y if ws.family.is_beta else ws.z
@@ -309,18 +287,19 @@ def indicator(
     spec: ModelSpec,
     kind: ScoreKind,
     alpha: float,
-    opts: FitOptions | None = None,
+    *,
+    init=None,
 ) -> bool:
     """Conformal inclusion test for one candidate response.
 
     Appends (candidate, x_new) to the data, refits, and checks whether the
     candidate's score is within the ceil((1 - alpha)(n + 1))-th smallest of
     all n + 1 scores.  A fit that fails to converge raises rather than
-    silently excluding the candidate.  Without ``opts`` the refit starts
-    cold.
+    silently excluding the candidate.  The refit starts from the parameter
+    vector ``init``, or cold without it.
     """
     ws = _Likelihood(data, spec.family, x_new)
-    return _margin(aug_candidate, ws, kind, alpha, opts).margin <= 0.0
+    return _margin(aug_candidate, ws, kind, alpha, init).margin <= 0.0
 
 
 def classical_gauss_interval(m: FittedModel, x_new, alpha: float) -> tuple[float, float]:
@@ -520,7 +499,7 @@ def full_cp(
     ws = _Likelihood(data, spec.family, x_new)
 
     def margin(y: float) -> float:
-        refit = _margin(y, ws, kind, cfg.alpha, FitOptions(init=start(y)))
+        refit = _margin(y, ws, kind, cfg.alpha, start(y))
         fitted.append((y, refit.params))
         return refit.margin
 
@@ -543,13 +522,13 @@ def full_cp(
 
     found = _search(lambda u: margin(to_y(u)), (centre, estimate), lo, hi, tol, guesses)
     if found is None:
-        return PredictionInterval(math.nan, math.nan, level, Method.FULL, empty=True)
+        return PredictionInterval(math.nan, math.nan, level, empty=True)
     lower, upper, at_end = found
     if at_end and not spec.family.is_beta:
         warnings.warn(
             "inclusion region reaches the extended grid boundary; consider a larger rho",
             IntervalSearchWarning,
         )
-    interval = PredictionInterval(to_y(lower), to_y(upper), level, Method.FULL)
+    interval = PredictionInterval(to_y(lower), to_y(upper), level)
     _contiguity_probes(interval, lambda y: margin(y) <= 0.0, tol)
     return interval

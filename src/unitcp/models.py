@@ -31,7 +31,6 @@ __all__ = [
     "ModelFamily",
     "ModelSpec",
     "Dataset",
-    "FitOptions",
     "FittedModel",
     "FitError",
     "SingularDesign",
@@ -171,24 +170,6 @@ class Dataset:
         object.__setattr__(aug, "X", _read_only(np.vstack([self.X, x_new])))
         object.__setattr__(aug, "_base_fits", {})
         return aug
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Where the Newton fit starts.
-
-    ``init`` warm-starts the optimizer; without it a fit starts cold.  The
-    convergence test and the iteration cap are not options: they are the
-    module constants ``GTOL`` and ``MAX_ITER``, the same for every fit.
-    Full conformal prediction refits one workspace of the data plus a
-    candidate row many times, and passes the straight line through the
-    parameters of the two nearest candidates already fitted, evaluated at
-    the new one (or those of the nearest, when the new one lies beyond it
-    by more than the two are apart), which for the late probes of an edge
-    are almost converged.  The closed-form family ignores ``init``.
-    """
-
-    init: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -578,16 +559,17 @@ def _initial_params(lik: _Likelihood) -> np.ndarray:
     return np.concatenate([coef, [np.log(phi0)]])
 
 
-def _solve(lik: _Likelihood, opts: FitOptions):
+def _solve(lik: _Likelihood, init=None):
     """Fit the workspace's family to its rows: the kernel of :func:`fit` and
     of full conformal's refits.
 
     m1 is solved in closed form, and its objective and fitted values
     (linear predictor, sigma) come from the OLS fit itself.  The others run
-    :func:`_newton` from ``opts.init`` or a cold start.  Every fit checks
-    the design's rank: a cold start with its OLS fit, a warm start with
-    :meth:`_Likelihood.pinv`, whose SVD is made once per workspace, so the
-    refits of one full-conformal interval share it.  The whole fit runs
+    :func:`_newton` from the parameter vector ``init`` or, without it, a
+    cold start.  Every fit checks the design's rank: a cold start with its
+    OLS fit, a warm start with :meth:`_Likelihood.pinv`, whose SVD is made
+    once per workspace, so the refits of one full-conformal interval share
+    it.  The whole fit runs
     under one ``np.errstate``.  Returns (params, objective, converged,
     iterations, fitted values of the final derivative pass).
     """
@@ -599,28 +581,31 @@ def _solve(lik: _Likelihood, opts: FitOptions):
             log_sigma = 0.5 * np.log(sigma2)
             f = 0.5 * LOG_2PI + log_sigma + 0.5 * float(resid @ resid) / (lik.n * sigma2)
             return np.concatenate([coef, [log_sigma]]), float(f), True, 0, (lin, np.exp(log_sigma))
-        if opts.init is None:
+        if init is None:
             x0 = _initial_params(lik)
         else:
             lik.pinv()  # raises SingularDesign for a rank-deficient design
-            x0 = np.asarray(opts.init, dtype=float)
+            x0 = np.asarray(init, dtype=float)
         _split_params(x0, lik.k - 1, lik.family)  # validates the layout
         return _newton(lik, x0)
 
 
-def fit(data: Dataset, spec: ModelSpec, opts: FitOptions | None = None) -> FittedModel:
+def fit(data: Dataset, spec: ModelSpec, *, init=None) -> FittedModel:
     """Fit one family by maximum likelihood.
 
     The homoscedastic transform family is solved in closed form (OLS on the
-    logit scale, residual variance with the maximum likelihood divisor).
-    The others run damped Newton on the mean negative log-likelihood from
-    ``opts.init`` or a moment-based start (m4 starts from the m3 fit); a
-    fit that has not met ``GTOL`` when no step improves the objective or
-    ``MAX_ITER`` iterations have run is reported with ``converged=False``.
-    Never raises for non-convergence; raises :class:`SingularDesign` for a
-    rank-deficient design.
+    logit scale, residual variance with the maximum likelihood divisor),
+    and ignores ``init``.  The others run damped Newton on the mean
+    negative log-likelihood from ``init``, a packed parameter vector
+    (a warm start, such as another fit's ``params``), or without it from a
+    moment-based start (m4 starts from the m3 fit).  The convergence test
+    and the iteration cap are not options: a fit that has not met ``GTOL``
+    when no step improves the objective or ``MAX_ITER`` iterations have run
+    is reported with ``converged=False``.  Never raises for
+    non-convergence; raises :class:`SingularDesign` for a rank-deficient
+    design.
     """
-    x, f, converged, iterations, _ = _solve(_Likelihood(data, spec.family), opts or FitOptions())
+    x, f, converged, iterations, _ = _solve(_Likelihood(data, spec.family), init)
     return _build(data, spec, x, f, converged, iterations)
 
 

@@ -108,23 +108,6 @@ def expit(x):
     return _scalar_or_array(out, x)
 
 
-def beta_log_pdf(y, mu, phi):
-    """Log density of Beta(mu*phi, (1-mu)*phi), vectorized over all arguments.
-
-    No domain checks: internal helper for likelihood code that has already
-    validated (or clamped) its inputs.
-    """
-    a = mu * phi
-    b = (1.0 - mu) * phi
-    return (
-        sp.gammaln(phi)
-        - sp.gammaln(a)
-        - sp.gammaln(b)
-        + (a - 1.0) * np.log(y)
-        + (b - 1.0) * np.log1p(-y)
-    )
-
-
 def _trigamma(x) -> np.ndarray:
     """Trigamma function psi'(x) for x > 0, as a 1-d or higher array.
 
@@ -155,8 +138,15 @@ def beta_pdf(y, p: BetaParams):
     large precisions do not overflow intermediate gamma factors.
     """
     arr = _require_open_unit(y, "y")
-    out = np.exp(beta_log_pdf(arr, p.mu, p.phi))
-    return _scalar_or_array(out, y)
+    a, b = p.alpha, p.beta
+    log_pdf = (
+        sp.gammaln(p.phi)
+        - sp.gammaln(a)
+        - sp.gammaln(b)
+        + (a - 1.0) * np.log(arr)
+        + (b - 1.0) * np.log1p(-arr)
+    )
+    return _scalar_or_array(np.exp(log_pdf), y)
 
 
 def beta_cdf(y, p: BetaParams):
@@ -191,7 +181,7 @@ def beta_quantile(u, p: BetaParams):
         lo = np.where(err < 0.0, np.maximum(lo, y), lo)
         if np.all(np.nextafter(lo, 1.0) >= hi):
             break  # brackets exhausted double precision
-        dens = np.exp(beta_log_pdf(y, p.mu, p.phi))
+        dens = beta_pdf(y, p)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = y - err / dens
         bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)

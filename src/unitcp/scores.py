@@ -6,10 +6,11 @@ Three residual-based measures, each on the scale its model works on:
 * ``PEARSON``   absolute residual divided by the predicted sd; logit scale
                 for the heteroscedastic transform family, original scale for
                 the beta families
-* ``QUANTILE``  |normal quantile of the fitted CDF at y|; for the
-                heteroscedastic transform family this coincides with the
-                Pearson score, for the beta families the fitted CDF is the
-                conditional beta distribution
+* ``QUANTILE``  |normal quantile of the fitted CDF at y|; for the beta
+                families the fitted CDF is the conditional beta
+                distribution.  For the heteroscedastic transform family
+                Phi^-1(F(y)) is exactly the standardized logit residual, so
+                its quantile score is computed as its Pearson score
 
 All scores are nonnegative and finite for y strictly inside (0,1).
 """
@@ -26,8 +27,9 @@ from .numeric import logit
 
 __all__ = ["ScoreKind", "score"]
 
-# fitted-CDF values are clamped here before the normal quantile, which caps
-# quantile scores at about 7.03 instead of letting far-tail points hit +/-inf
+# the beta families' fitted-CDF values are clamped here before the normal
+# quantile, which caps their quantile scores at about 7.03 instead of letting
+# far-tail points hit +/-inf; split CP's inversion clamps to the same range
 CDF_CLIP = 1e-12
 
 
@@ -55,21 +57,6 @@ def _check_kind(kind: ScoreKind, family: ModelFamily) -> None:
         raise ValueError(f"score kind {kind.value} is not defined for family {family.value}")
 
 
-def _abs_normal_quantile_residual(t):
-    """|Phi^-1(Phi(t))| computed through the lower tail.
-
-    Going through the tail keeps the round trip accurate to machine
-    precision even for large |t|, so the heteroscedastic-transform quantile
-    score agrees with its Pearson score far beyond any clamp.
-    """
-    t_abs = np.abs(t)
-    u = sp.ndtr(-t_abs)
-    # u == 0 only when |t| is so large that the tail underflows; the exact
-    # limit of the composition is |t| itself there
-    safe = np.maximum(u, np.finfo(float).tiny)
-    return np.where(u > 0.0, -sp.ndtri(safe), t_abs)
-
-
 def _score_fitted(kind: ScoreKind, family: ModelFamily, response, mean, spread):
     """Scores of responses under fitted values: the kernel of :func:`score`.
 
@@ -85,12 +72,8 @@ def _score_fitted(kind: ScoreKind, family: ModelFamily, response, mean, spread):
             return np.abs(response - mean) / np.sqrt(mean * (1.0 - mean) / (1.0 + spread))
         u = sp.betainc(mean * spread, (1.0 - mean) * spread, response)
         return np.abs(sp.ndtri(np.clip(u, CDF_CLIP, 1.0 - CDF_CLIP)))
-    resid = response - mean
-    if kind is ScoreKind.RAW:
-        return np.abs(resid)
-    if kind is ScoreKind.PEARSON:
-        return np.abs(resid) / spread
-    return _abs_normal_quantile_residual(resid / spread)
+    resid = np.abs(response - mean)
+    return resid if kind is ScoreKind.RAW else resid / spread
 
 
 def score(kind: ScoreKind, y, m: FittedModel, x):

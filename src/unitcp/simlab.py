@@ -7,7 +7,10 @@ trivariate normal with unit variances and pairwise correlation one half.
 ``run_coverage`` repeats dataset + test-point generation, builds a
 prediction interval per replication, and aggregates empirical coverage,
 average width and per-interval CPU time.  A case-resampling percentile
-bootstrap serves as the non-conformal baseline.
+bootstrap serves as the non-conformal baseline.  ``Method`` names the
+three ways to build an interval (split or full conformal, bootstrap),
+which ``run_coverage`` and the CLI dispatch on; an interval itself does
+not record it.
 """
 
 from __future__ import annotations
@@ -19,18 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import (
-    FullConfig,
-    Method,
-    PredictionInterval,
-    SplitConfig,
-    full_cp,
-    split_cp,
-)
+from .conformal import FullConfig, PredictionInterval, SplitConfig, full_cp, split_cp
 from .models import (
     Dataset,
     FitError,
-    FitOptions,
     FittedModel,
     ModelFamily,
     ModelSpec,
@@ -40,6 +35,7 @@ from .models import (
 from .numeric import EPS, expit
 
 __all__ = [
+    "Method",
     "Scenario",
     "ScenarioConfig",
     "CoverageReport",
@@ -69,15 +65,19 @@ REPLACEMENT_STEP = 2654435761
 _MAX_REPLACEMENTS = 100
 
 
+class Method(enum.Enum):
+    """How an interval is built: split or full conformal, or the bootstrap baseline."""
+
+    SPLIT = "split"
+    FULL = "full"
+    BOOTSTRAP = "bootstrap"
+
+
 class Scenario(enum.Enum):
     TRANSFORM_HOMO = "s1"
     TRANSFORM_HETERO = "s2"
     BETA_MEAN = "s3"
     BETA_MEAN_DISP = "s4"
-
-    @property
-    def code(self) -> str:
-        return self.value
 
     @property
     def has_dispersion_level(self) -> bool:
@@ -188,21 +188,17 @@ def gen_response(cfg: ScenarioConfig, X: np.ndarray, rng=None) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != N_COVARIATES:
         raise ValueError(f"X must have {N_COVARIATES} columns")
     rng = _rng_from([cfg.rng_seed, 1] if rng is None else rng)
-    coef = cfg.mean_coef
-    lin = coef[0] + X @ coef[1:]
-
     sc = cfg.scenario
-    if sc is Scenario.TRANSFORM_HOMO:
-        y = expit(lin + rng.normal(0.0, cfg.dispersion_level, len(X)))
-    elif sc is Scenario.TRANSFORM_HETERO:
-        sd = np.exp(DISP_COEF_TRANSFORM[0] + X @ DISP_COEF_TRANSFORM[1:])
-        y = expit(lin + rng.normal(0.0, 1.0, len(X)) * sd)
-    else:
-        mu = expit(lin)
-        if sc is Scenario.BETA_MEAN:
-            phi = np.full(len(X), cfg.dispersion_level)
+    if sc is Scenario.TRANSFORM_HOMO or sc is Scenario.TRANSFORM_HETERO:
+        coef = cfg.mean_coef
+        lin = coef[0] + X @ coef[1:]
+        if sc is Scenario.TRANSFORM_HOMO:
+            y = expit(lin + rng.normal(0.0, cfg.dispersion_level, len(X)))
         else:
-            phi = np.exp(DISP_COEF_BETA[0] + X @ DISP_COEF_BETA[1:])
+            sd = np.exp(DISP_COEF_TRANSFORM[0] + X @ DISP_COEF_TRANSFORM[1:])
+            y = expit(lin + rng.normal(0.0, 1.0, len(X)) * sd)
+    else:
+        mu, phi = scenario_mu(cfg, X), scenario_phi(cfg, X)
         y = rng.beta(mu * phi, (1.0 - mu) * phi)
         bad = (y <= 0.0) | (y >= 1.0)
         while np.any(bad):  # resample boundary draws
@@ -344,13 +340,13 @@ def bootstrap_interval(
     rng = _rng_from(seed)
     x_new = np.asarray(x_new, dtype=float)
     base = fit(data, spec)
-    warm = FitOptions(init=base.params) if base.converged else None
+    warm = base.params if base.converged else None
     draws = np.empty(B)
     for b in range(B):
         for attempt in range(4):
             idx = rng.integers(0, data.n, data.n)
             try:
-                model = fit(Dataset(data.y[idx], data.X[idx]), spec, warm)
+                model = fit(Dataset(data.y[idx], data.X[idx]), spec, init=warm)
                 if not model.converged:
                     raise NonConvergence("bootstrap refit did not converge")
             except FitError:
@@ -360,7 +356,7 @@ def bootstrap_interval(
             break
         draws[b] = _predictive_draw(model, x_new, rng)
     lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return PredictionInterval(float(lo), float(hi), 1.0 - alpha, Method.BOOTSTRAP)
+    return PredictionInterval(float(lo), float(hi), 1.0 - alpha)
 
 
 def union_intersection(
@@ -370,24 +366,21 @@ def union_intersection(
 
     The union spans the full range of the non-empty members; the
     intersection is their common overlap, flagged empty when there is none
-    (or when any member is empty).
+    (or when any member is empty).  Both take the first member's level.
     """
     if not intervals:
         raise ValueError("need at least one interval")
     level = intervals[0].level
-    method = intervals[0].method
     alive = [iv for iv in intervals if not iv.empty]
 
     if alive:
-        union = PredictionInterval(
-            min(iv.lower for iv in alive), max(iv.upper for iv in alive), level, method
-        )
+        union = PredictionInterval(min(iv.lower for iv in alive), max(iv.upper for iv in alive), level)
     else:
-        union = PredictionInterval(np.nan, np.nan, level, method, empty=True)
+        union = PredictionInterval(np.nan, np.nan, level, empty=True)
 
     if len(alive) == len(intervals):
         lo = max(iv.lower for iv in alive)
         hi = min(iv.upper for iv in alive)
         if lo <= hi:
-            return union, PredictionInterval(lo, hi, level, method)
-    return union, PredictionInterval(np.nan, np.nan, level, method, empty=True)
+            return union, PredictionInterval(lo, hi, level)
+    return union, PredictionInterval(np.nan, np.nan, level, empty=True)

@@ -46,7 +46,6 @@ from unitcp import conformal
 from unitcp.cli import load_csv
 from unitcp.conformal import _split_fit
 from unitcp.datasets import bodyfat_path
-from unitcp.models import FitOptions
 from unitcp.simlab import scenario_mu, scenario_phi
 
 from conftest import make_scenario_data
@@ -198,9 +197,8 @@ def test_c05_full_cp_matches_exhaustive_grid():
         data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 30, 10.0, seed=30_000 + seed)
         iv = full_cp(data, x_new, M3, ScoreKind.QUANTILE, FullConfig(0.1))
         base = fit(data, M3)
-        warm = FitOptions(init=base.params)
         hits = [w for w in np.arange(1e-3, 1.0, 1e-3)
-                if indicator(w, data, x_new, M3, ScoreKind.QUANTILE, 0.1, opts=warm)]
+                if indicator(w, data, x_new, M3, ScoreKind.QUANTILE, 0.1, init=base.params)]
         assert hits and not iv.empty
         worst = max(worst, abs(iv.lower - min(hits)), abs(iv.upper - max(hits)))
     elapsed = time.perf_counter() - start

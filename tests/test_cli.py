@@ -262,6 +262,35 @@ def test_bad_option_values_are_usage_errors_before_any_work(tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", [
+    pytest.param(["--method", "split", "--test-fraction", "0.9"], id="split-training-half-of-4"),
+    pytest.param(["--test-fraction", "0.99"], id="no-construction-rows"),
+    pytest.param(["--method", "bootstrap", "--bootstrap-b", "100", "--test-fraction", "0.95"], id="bootstrap-2-rows"),
+])
+def test_analyze_test_fraction_leaving_too_few_rows_is_usage_error(tmp_path, capsys, monkeypatch, values):
+    """40 rows and p = 2: each method must be able to fit p + 2 = 4 rows."""
+    calls = []
+    for name in ("split_cp_batch", "full_cp", "bootstrap_interval"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+    out = tmp_path / "out"
+    code = main(["analyze", "--input", small_csv(tmp_path), *values, "--output", str(out)])
+    assert code == 1
+    assert "--test-fraction" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_analyze_full_runs_on_the_fewest_rows_it_can_fit(tmp_path):
+    # --test-fraction 0.9 leaves 4 construction rows: enough for full CP, not for split
+    # (m1 has a closed-form fit; the iterative fits of 4 rows do not converge)
+    out = tmp_path / "out"
+    code = main(["analyze", "--input", small_csv(tmp_path), "--method", "full", "--test-fraction", "0.9",
+                 "--model", "m1", "--output", str(out)])
+    assert code == 0
+    _, rows = read_results_csv(out / "results.csv")
+    assert {r["method"] for r in rows} == {"full"}
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 

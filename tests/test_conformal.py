@@ -1,5 +1,6 @@
 """Split and full conformal prediction mechanics."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,7 +11,6 @@ from unitcp import (
     BetaParams,
     Dataset,
     FullConfig,
-    Method,
     ModelFamily,
     ModelSpec,
     NonConvergence,
@@ -35,7 +35,7 @@ from unitcp import conformal
 from unitcp.cli import ANALYSIS_BATTERY, load_csv
 from unitcp.conformal import _invert_split, _search, _split_fit
 from unitcp.datasets import bodyfat_path
-from unitcp.models import FitOptions, _Likelihood, fit
+from unitcp.models import _Likelihood, fit
 
 from conftest import make_scenario_data
 from test_models import M1, M2, M3, M4, make_model
@@ -190,13 +190,25 @@ def test_split_quantile_interval_needs_no_truncation():
 
 def test_prediction_interval_validation():
     with pytest.raises(ValueError):
-        PredictionInterval(0.4, 0.2, 0.9, Method.SPLIT)
+        PredictionInterval(0.4, 0.2, 0.9)
     with pytest.raises(ValueError):
-        PredictionInterval(0.1, 0.2, 1.5, Method.SPLIT)
-    empty = PredictionInterval(math.nan, math.nan, 0.9, Method.FULL, empty=True)
+        PredictionInterval(0.1, 0.2, 1.5)
+    empty = PredictionInterval(math.nan, math.nan, 0.9, empty=True)
     assert empty.width == 0.0 and not empty.contains(0.5)
-    iv = PredictionInterval(0.2, 0.6, 0.9, Method.SPLIT)
+    iv = PredictionInterval(0.2, 0.6, 0.9)
     assert iv.contains(0.2) and iv.contains(0.6) and not iv.contains(0.61)
+
+
+def test_interval_and_full_config_hold_only_settable_fields():
+    # the interval records no method, and a fourth positional argument is an error
+    assert [f.name for f in dataclasses.fields(PredictionInterval)] == ["lower", "upper", "level", "empty"]
+    with pytest.raises(TypeError):
+        PredictionInterval(0.1, 0.2, 0.9, "split")
+    # the search resolutions are constants, not settings
+    assert [f.name for f in dataclasses.fields(FullConfig)] == ["alpha", "rho"]
+    with pytest.raises(TypeError):
+        FullConfig(0.1, tolerance=1e-3)
+    assert FullConfig(0.1).tolerance == FullConfig.grid_step == 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +275,9 @@ def test_full_cp_matches_exhaustive_grid_small():
     data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 30, 10.0, seed=36)
     iv = full_cp(data, x_new, M3, ScoreKind.QUANTILE, FullConfig(0.1))
     base = fit(data, M3)
-    warm = FitOptions(init=base.params)
     grid = np.arange(0.01, 1.0, 0.01)
     hits = [w for w in grid
-            if indicator(w, data, x_new, M3, ScoreKind.QUANTILE, 0.1, opts=warm)]
+            if indicator(w, data, x_new, M3, ScoreKind.QUANTILE, 0.1, init=base.params)]
     assert hits
     assert abs(iv.lower - min(hits)) < 0.01 + 1e-4
     assert abs(iv.upper - max(hits)) < 0.01 + 1e-4
@@ -385,10 +396,10 @@ def test_refit_warm_started_from_a_neighbour_matches_a_cold_fit(spec, scenario, 
     for y in candidates[1:]:
         aug = data.augmented(y, x_new)
         cold = fit(aug, spec)
-        warm = fit(aug, spec, FitOptions(init=prev.params))
+        warm = fit(aug, spec, init=prev.params)
         assert warm.converged == cold.converged
         np.testing.assert_allclose(warm.params, cold.params, rtol=0.0, atol=1e-6)
-        m_warm = conformal._margin(y, ws, kind, 0.1, FitOptions(init=prev.params)).margin
+        m_warm = conformal._margin(y, ws, kind, 0.1, prev.params).margin
         m_cold = conformal._margin(y, ws, kind, 0.1).margin
         # both fits stop at the gradient tolerance, some 1e-7 apart in m4's parameters
         assert m_warm == pytest.approx(m_cold, abs=1e-5)
@@ -407,11 +418,11 @@ SCENARIO_OF = {
 VALID_PAIRS = [(spec, kind) for spec in SCENARIO_OF for kind in ScoreKind if kind.valid_for(spec.family)]
 
 
-def reference_margin(y, data, x_new, spec, kind, alpha, opts=None):
+def reference_margin(y, data, x_new, spec, kind, alpha, init=None):
     """The margin the slow way: copy the data with the candidate appended,
     fit the copy and score every row through the fitted model."""
     aug = data.augmented(y, x_new)
-    model = fit(aug, spec, opts)
+    model = fit(aug, spec, init=init)
     scores = score(kind, aug.y, model, aug.X)
     k = math.ceil((1.0 - alpha) * (data.n + 1))
     return float(scores[-1] - np.partition(scores[:-1], k - 1)[k - 1]), model
@@ -428,17 +439,17 @@ def test_workspace_margin_matches_a_refit_of_an_augmented_copy(spec, kind):
         ws = _Likelihood(data, spec.family, x_new)
         candidates = np.concatenate([[1e-4], np.quantile(data.y, [0.05, 0.5, 0.95])])
         for y in candidates:
-            for opts in (None, FitOptions(init=base.params)):
-                ref, model = reference_margin(y, data, x_new, spec, kind, 0.1, opts)
+            for init in (None, base.params):
+                ref, model = reference_margin(y, data, x_new, spec, kind, 0.1, init)
                 if not model.converged:
                     with pytest.raises(NonConvergence):
-                        conformal._margin(y, ws, kind, 0.1, opts)
+                        conformal._margin(y, ws, kind, 0.1, init)
                     continue
-                refit = conformal._margin(y, ws, kind, 0.1, opts)
+                refit = conformal._margin(y, ws, kind, 0.1, init)
                 assert refit.margin == pytest.approx(ref, abs=1e-10)
                 np.testing.assert_allclose(refit.params, model.params, rtol=0.0, atol=1e-10)
                 assert refit.iterations == model.iterations
-                assert (refit.margin <= 0.0) == indicator(y, data, x_new, spec, kind, 0.1, opts)
+                assert (refit.margin <= 0.0) == indicator(y, data, x_new, spec, kind, 0.1, init=init)
 
 
 @pytest.mark.parametrize("spec,kind", VALID_PAIRS[::2])
@@ -468,12 +479,11 @@ def test_workspace_detects_a_singular_design(spec, kind):
     rng = np.random.default_rng(0)
     X = np.column_stack([np.ones(30), rng.normal(size=30)])
     parent = Dataset(expit(rng.normal(size=30)), X)
-    init = np.zeros(6 if spec.family.models_dispersion else 4)
-    for opts in (None, FitOptions(init=init)):
+    for init in (None, np.zeros(6 if spec.family.models_dispersion else 4)):
         with pytest.raises(SingularDesign):
-            fit(parent.augmented(0.5, [1.0, 0.3]), spec, opts)
+            fit(parent.augmented(0.5, [1.0, 0.3]), spec, init=init)
         with pytest.raises(SingularDesign):
-            indicator(0.5, parent, [1.0, 0.3], spec, kind, 0.1, opts)
+            indicator(0.5, parent, [1.0, 0.3], spec, kind, 0.1, init=init)
 
 
 def test_full_cp_and_fits_raise_no_floating_point_warnings():
@@ -518,15 +528,14 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
     def counting_fit(*args, **kwargs):
         nonlocal fits, cold
         fits += 1
-        opts = args[2] if len(args) > 2 else kwargs.get("opts")
-        cold += opts is None or opts.init is None
+        cold += kwargs.get("init") is None
         return real_fit(*args, **kwargs)
 
-    def counting_margin(y, ws, kind, alpha, opts=None):
+    def counting_margin(y, ws, kind, alpha, init=None):
         nonlocal fits, cold
         fits += 1
-        refit = real_margin(y, ws, kind, alpha, opts)
-        if opts is None or opts.init is None:
+        refit = real_margin(y, ws, kind, alpha, init)
+        if init is None:
             cold += 1
         elif ws.family is not ModelFamily.TRANSFORM_HOMO:
             warm_iterations.append(refit.iterations)

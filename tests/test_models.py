@@ -7,7 +7,6 @@ import scipy.optimize
 from unitcp import (
     Dataset,
     FitError,
-    FitOptions,
     FittedModel,
     ModelFamily,
     ModelSpec,
@@ -117,7 +116,15 @@ def test_singular_design_detected_for_every_start(spec):
         with pytest.raises(SingularDesign):
             fit(data, spec)
         with pytest.raises(SingularDesign):
-            fit(data, spec, FitOptions(init=init))
+            fit(data, spec, init=init)
+
+
+def test_warm_start_is_keyword_only():
+    data, _, _ = make_scenario_data(Scenario.BETA_MEAN, 60, 10.0, seed=3)
+    start = fit(data, M3).params
+    with pytest.raises(TypeError):
+        fit(data, M3, start)
+    assert fit(data, M3, init=start).converged
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +348,7 @@ def test_newton_matches_bfgs_reference(spec, scenario, disp):
         assert np.max(np.abs(m.params - ref)) < 1e-6
         # a warm-started refit of the data plus one point, as full CP does
         aug = data.augmented(float(np.median(data.y)), data.X[0])
-        warm = fit(aug, spec, FitOptions(init=m.params))
+        warm = fit(aug, spec, init=m.params)
         assert warm.converged
         assert np.max(np.abs(warm.params - _bfgs_reference(aug, spec, m.params))) < 1e-6
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitcp import Method, PredictionInterval, conformal_quantile
+from unitcp import PredictionInterval, conformal_quantile
 
 unit = st.floats(0.0, 1.0)
 levels = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -18,14 +18,14 @@ quick = settings(deadline=None)
 
 
 @quick
-@given(unit, unit, levels, st.sampled_from([Method.SPLIT, Method.FULL]), st.floats(allow_nan=True))
-def test_prediction_interval_invariants(a, b, level, method, y):
-    iv = PredictionInterval(min(a, b), max(a, b), level, method)
+@given(unit, unit, levels, st.floats(allow_nan=True))
+def test_prediction_interval_invariants(a, b, level, y):
+    iv = PredictionInterval(min(a, b), max(a, b), level)
     assert 0.0 <= iv.lower <= iv.upper <= 1.0
     assert iv.width >= 0.0
     assert iv.contains(iv.lower) and iv.contains(iv.upper)
     assert iv.contains(y) == (iv.lower <= y <= iv.upper)
-    empty = PredictionInterval(math.nan, math.nan, level, method, empty=True)
+    empty = PredictionInterval(math.nan, math.nan, level, empty=True)
     assert empty.width == 0.0 and not empty.contains(y)
 
 

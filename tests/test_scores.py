@@ -13,6 +13,7 @@ from unitcp import (
     ScenarioConfig,
     ScoreKind,
     beta_quantile,
+    expit,
     fit,
     gen_covariates,
     gen_response,
@@ -76,6 +77,16 @@ def test_pearson_equals_quantile_for_hetero_transform():
         s_q = score(ScoreKind.QUANTILE, y[-1], m, X[-1])
         worst = max(worst, abs(s_p - s_q))
     assert worst < 1e-9
+
+
+def test_hetero_transform_quantile_equals_pearson_in_the_far_tail():
+    # Phi(-37.68) is subnormal, where a round trip through the normal CDF
+    # loses digits (it gave 37.5194); the quantile score is the Pearson score
+    m2 = make_model(M2, 0.0, np.zeros(3), np.log(0.01), np.zeros(3))
+    x, y = np.zeros(3), float(expit(0.376771))
+    s_p = score(ScoreKind.PEARSON, y, m2, x)
+    assert score(ScoreKind.QUANTILE, y, m2, x) == s_p
+    assert s_p == pytest.approx(37.6771, rel=1e-9)
 
 
 def test_scores_nonnegative_and_finite():

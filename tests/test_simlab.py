@@ -189,6 +189,11 @@ def test_run_coverage_rejects_bootstrap_method():
         run_coverage(cfg, M3, ScoreKind.QUANTILE, Method.BOOTSTRAP, 0.1, 5)
 
 
+def test_method_is_the_sim_lab_dispatch_enum():
+    from unitcp import conformal
+    assert Method is simlab.Method and not hasattr(conformal, "Method")
+
+
 # ---------------------------------------------------------------------------
 # bootstrap baseline
 
@@ -207,7 +212,6 @@ def test_bootstrap_interval_basics():
     data = _bodyfat_like(80, 1)
     x_new = np.array([0.2, -0.4])
     iv = bootstrap_interval(data, x_new, M4, 0.1, 150, seed=4)
-    assert iv.method is Method.BOOTSTRAP
     assert 0.0 <= iv.lower < iv.upper <= 1.0
     again = bootstrap_interval(data, x_new, M4, 0.1, 150, seed=4)
     assert (iv.lower, iv.upper) == (again.lower, again.upper)
@@ -243,8 +247,8 @@ def test_bootstrap_coverage_on_synthetic_data():
 
 def _iv(lo, hi, empty=False):
     if empty:
-        return PredictionInterval(np.nan, np.nan, 0.9, Method.SPLIT, empty=True)
-    return PredictionInterval(lo, hi, 0.9, Method.SPLIT)
+        return PredictionInterval(np.nan, np.nan, 0.9, empty=True)
+    return PredictionInterval(lo, hi, 0.9)
 
 
 def test_union_intersection_single():
