@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--new", required=True, help="CSV of covariate rows (same columns, no y)")
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--score", default=None, help="raw|pearson|quantile (default per model)")
-    p_pred.add_argument("--method", default="split", choices=["split", "full", "bootstrap"])
+    p_pred.add_argument("--method", default="split", help="split|full|bootstrap (default split)")
     _add_rho(p_pred)
     p_pred.add_argument("--bootstrap-b", type=_BOOTSTRAP_B, default=500)
     p_pred.add_argument("--rescale", nargs=2, type=float, metavar=("A", "B"))
@@ -348,6 +348,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _member(kind):
+    """A converter from a name to the member of the enum ``kind`` whose value
+    or lower-case name it is, ignoring case and surrounding blanks."""
+
+    def convert(name: str):
+        key = name.strip().lower()
+        for member in kind:
+            if key in (member.value, member.name.lower()):
+                return member
+        raise ValueError(f"expected one of {', '.join(m.value for m in kind)}")
+
+    return convert
+
+
 def _parse_name(token: str, convert, label: str):
     try:
         return convert(token)
@@ -367,8 +381,8 @@ def _parse_list(raw: str, convert, label: str):
 
 
 def _battery(model_filter, score_filter):
-    models = None if model_filter is None else _parse_list(model_filter, ModelFamily.from_name, "model")
-    scores = None if score_filter is None else _parse_list(score_filter, ScoreKind.from_name, "score")
+    models = None if model_filter is None else _parse_list(model_filter, _member(ModelFamily), "model")
+    scores = None if score_filter is None else _parse_list(score_filter, _member(ScoreKind), "score")
     combos = [
         (fam, kind)
         for fam, kind in ANALYSIS_BATTERY
@@ -387,7 +401,7 @@ def _battery(model_filter, score_filter):
 
 
 def _cmd_fit(args) -> int:
-    family = _parse_name(args.model, ModelFamily.from_name, "model")
+    family = _parse_name(args.model, _member(ModelFamily), "model")
     data = load_csv(args.input, rescale=tuple(args.rescale) if args.rescale else None)
     model = fit(data, ModelSpec(family))
     payload = {
@@ -443,9 +457,9 @@ def _intervals(method: Method, data, X_new, spec, kind, args, split_seed, seed_p
 
 
 def _cmd_predict(args) -> int:
-    method = Method(args.method)
-    family = _parse_name(args.model, ModelFamily.from_name, "model")
-    kind = _parse_name(args.score, ScoreKind.from_name, "score") if args.score else _default_score(family)
+    method = _parse_name(args.method, _member(Method), "method")
+    family = _parse_name(args.model, _member(ModelFamily), "model")
+    kind = _parse_name(args.score, _member(ScoreKind), "score") if args.score else _default_score(family)
     if not kind.valid_for(family):
         raise UsageError(f"the {kind.value} score is not defined for {family.value}")
     rescale = tuple(args.rescale) if args.rescale else None
@@ -461,8 +475,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenarios = _parse_list(args.scenario, Scenario.from_name, "scenario")
-    methods = _parse_list(args.method, Method, "method")
+    scenarios = _parse_list(args.scenario, _member(Scenario), "scenario")
+    methods = _parse_list(args.method, _member(Method), "method")
     if Method.BOOTSTRAP in methods:
         raise UsageError("simulate supports split and full methods")
     combos = _battery(args.model, args.score)
@@ -495,11 +509,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    combos = _battery(args.model, args.score)
+    methods = _parse_list(args.method, _member(Method), "method")
     rescale = tuple(args.rescale) if args.rescale else None
     path = args.input if args.input else bodyfat_path()
     data = load_csv(path, rescale)
-    combos = _battery(args.model, args.score)
-    methods = _parse_list(args.method, Method, "method")
     n_test = max(1, round(args.test_fraction * data.n))
     n_cons = data.n - n_test
     for method in methods:

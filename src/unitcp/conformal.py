@@ -43,7 +43,7 @@ from .models import (
     fit,
 )
 from .numeric import BetaParams, beta_quantile, expit, norm_cdf, norm_quantile
-from .scores import CDF_CLIP, ScoreKind, _score_fitted, score
+from .scores import CDF_CLIP, ScoreKind, _score_fitted, beta_sd, score
 
 __all__ = [
     "PredictionInterval",
@@ -202,27 +202,25 @@ def _invert_split(
     """Closed-form solution of {y : score(y) <= q} for one new covariate."""
     if math.isinf(q):
         return PredictionInterval(0.0, 1.0, level)
+    mean, spread = (float(v) for v in model.predict(x_new))
     if model.family.is_beta:
-        mu = float(model.predict_mean(x_new))
         if kind is ScoreKind.PEARSON:
-            half = q * float(model.predict_sigma(x_new))
+            half = q * float(beta_sd(mean, spread))
             # additive form can escape the unit interval near the boundary
-            return PredictionInterval(max(0.0, mu - half), min(1.0, mu + half), level)
-        params = BetaParams(mu, float(model.predict_phi(x_new)))
+            return PredictionInterval(max(0.0, mean - half), min(1.0, mean + half), level)
+        params = BetaParams(mean, spread)
         u_lo = float(np.clip(norm_cdf(-q), CDF_CLIP, 1.0 - CDF_CLIP))
         u_hi = float(np.clip(norm_cdf(q), CDF_CLIP, 1.0 - CDF_CLIP))
         return PredictionInterval(float(beta_quantile(u_lo, params)), float(beta_quantile(u_hi, params)), level)
-    center = float(model.predict_linear(x_new))
-    half = q if kind is ScoreKind.RAW else q * float(model.predict_sigma(x_new))
-    return PredictionInterval(float(expit(center - half)), float(expit(center + half)), level)
+    half = q if kind is ScoreKind.RAW else q * spread
+    return PredictionInterval(float(expit(mean - half)), float(expit(mean + half)), level)
 
 
 def split_cp(
     data: Dataset, x_new, spec: ModelSpec, kind: ScoreKind, cfg: SplitConfig
 ) -> PredictionInterval:
     """Split conformal prediction interval for one new covariate vector."""
-    model, q = _split_fit(data, spec, kind, cfg)
-    return _invert_split(model, kind, q, np.asarray(x_new, dtype=float), 1.0 - cfg.alpha)
+    return split_cp_batch(data, [x_new], spec, kind, cfg)[0]
 
 
 def split_cp_batch(
@@ -303,9 +301,16 @@ def indicator(
 
 
 def classical_gauss_interval(m: FittedModel, x_new, alpha: float) -> tuple[float, float]:
-    """Classical normal prediction interval on the logit scale."""
-    center = float(m.predict_linear(x_new))
-    half = float(norm_quantile(1.0 - alpha / 2.0)) * float(m.predict_sigma(x_new))
+    """Classical normal prediction interval on the logit scale: the fitted
+    linear predictor plus or minus the normal quantile times sigma.
+
+    Defined for the transform families only; a beta model raises
+    ``ValueError``.
+    """
+    if m.family.is_beta:
+        raise ValueError("the classical interval is defined for the transform families only")
+    center, sigma = (float(v) for v in m.predict(x_new))
+    half = float(norm_quantile(1.0 - alpha / 2.0)) * sigma
     return center - half, center + half
 
 
@@ -505,9 +510,10 @@ def full_cp(
 
     q = conformal_quantile(score(kind, data.y, base, data.X), cfg.alpha)
     predicted = _invert_split(base, kind, q, x_new, level)
+    centre = float(base.predict(x_new)[0])
     if spec.family.is_beta:
         to_y, tol = float, cfg.tolerance
-        lo, hi, centre = 0.0, 1.0, float(base.predict_mean(x_new))
+        lo, hi = 0.0, 1.0
         guesses = (predicted.lower, predicted.upper)
     else:
         to_y, tol = (lambda u: float(expit(u))), cfg.grid_step
@@ -515,7 +521,6 @@ def full_cp(
         width = hi_cl - lo_cl
         lo = max(lo_cl - cfg.rho * width, -LOGIT_LIMIT)
         hi = min(hi_cl + cfg.rho * width, LOGIT_LIMIT)
-        centre = float(base.predict_linear(x_new))
         with np.errstate(divide="ignore"):
             guesses = tuple(float(np.log(y) - np.log1p(-y)) for y in (predicted.lower, predicted.upper))
     estimate = float(score(kind, to_y(centre), base, x_new)) - q

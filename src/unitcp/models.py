@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sp
 
-from .numeric import EPS, _trigamma, expit
+from .numeric import EPS, _trigamma
 
 __all__ = [
     "ModelFamily",
@@ -79,14 +79,6 @@ class ModelFamily(enum.Enum):
     def models_dispersion(self) -> bool:
         """True when the dispersion submodel has covariate coefficients."""
         return self in (ModelFamily.TRANSFORM_HETERO, ModelFamily.BETA_MEAN_DISP)
-
-    @classmethod
-    def from_name(cls, name: str) -> "ModelFamily":
-        key = name.strip().lower()
-        for fam in cls:
-            if key in (fam.value, fam.name.lower()):
-                return fam
-        raise ValueError(f"unknown model family {name!r}")
 
 
 @dataclass(frozen=True)
@@ -181,6 +173,7 @@ class FittedModel:
     the family has no dispersion covariates.  ``iterations`` counts the
     Newton iterations of the fit: 0 for the closed-form family, and for a
     cold m4 fit without those of the m3 fit that gives its start.
+    :meth:`predict` gives the fitted values at new covariates.
     """
 
     spec: ModelSpec
@@ -204,54 +197,33 @@ class FittedModel:
             return np.concatenate([head, self.disp_coef])
         return head
 
-    def _check_x(self, x) -> np.ndarray:
+    def predict(self, x):
+        """Fitted values ``(mean, spread)`` at covariate vector(s) ``x``, by
+        :func:`_link`: (mu, phi) for the beta families, (logit-scale linear
+        predictor, sigma) for the transform families.  A matrix ``x`` gives
+        one value per row, but the spread of a family without dispersion
+        covariates is one scalar.
+        """
         x = np.asarray(x, dtype=float)
         p = len(self.mean_coef)
-        if x.shape[-1] != p:
+        if x.shape[-1:] != (p,):
             raise ValueError(f"expected covariate vector(s) of length {p}, got shape {x.shape}")
-        return x
-
-    def predict_linear(self, x):
-        """Mean prediction on the logit (real-line) scale.
-
-        Only the transform families model the response on that scale.
-        """
-        if self.family.is_beta:
-            raise ValueError("predict_linear is defined for the transform families only")
-        x = self._check_x(x)
-        return self.mean_intercept + x @ self.mean_coef
-
-    def predict_mean(self, x):
-        """Predicted conditional mean of y, strictly inside (0,1)."""
-        x = self._check_x(x)
-        eta = self.mean_intercept + x @ self.mean_coef
-        return np.clip(expit(eta), EPS, 1.0 - EPS)
-
-    def predict_phi(self, x):
-        """Predicted beta precision (beta families only)."""
-        if not self.family.is_beta:
-            raise ValueError("predict_phi is defined for the beta families only")
-        x = self._check_x(x)
+        mean_lin = self.mean_intercept + x @ self.mean_coef
         if self.family.models_dispersion:
-            return np.exp(self.disp_intercept + x @ self.disp_coef)
-        out = np.exp(self.disp_intercept)
-        return np.full(x.shape[:-1], out) if x.ndim > 1 else out
+            return _link(self.family, mean_lin, self.disp_intercept + x @ self.disp_coef)
+        return _link(self.family, mean_lin, self.disp_intercept)
 
-    def predict_sigma(self, x):
-        """Predicted conditional standard deviation.
 
-        Transform families: the error sd on the logit scale.  Beta families:
-        sqrt(mu (1 - mu) / (1 + phi)) on the original scale.
-        """
-        x = self._check_x(x)
-        if self.family.is_beta:
-            mu = self.predict_mean(x)
-            phi = self.predict_phi(x)
-            return np.sqrt(mu * (1.0 - mu) / (1.0 + phi))
-        if self.family.models_dispersion:
-            return np.exp(self.disp_intercept + x @ self.disp_coef)
-        out = np.exp(self.disp_intercept)
-        return np.full(x.shape[:-1], out) if x.ndim > 1 else out
+def _link(family: ModelFamily, mean_lin, disp_lin):
+    """A family's fitted values from its mean and dispersion linear predictors.
+
+    Returns (mu, phi) for the beta families, the logit mean link clamped
+    to [EPS, 1 - EPS] and the log precision link, and (linear predictor,
+    sigma) for the transform families, which model logit(y) directly.
+    """
+    if family.is_beta:
+        return np.minimum(np.maximum(sp.expit(mean_lin), EPS), 1.0 - EPS), np.exp(disp_lin)
+    return mean_lin, np.exp(disp_lin)
 
 
 def _split_params(params: np.ndarray, p: int, family: ModelFamily):
@@ -342,15 +314,16 @@ class _Likelihood:
         mean and dispersion linear predictors, and the fitted values they
         were computed from -- (mu, phi, the shapes [a, b, phi]) for the beta
         families, (linear predictor, sigma) for the transform families.
-        ``rows`` serves both :meth:`gradient_from` and :meth:`hessian_from`,
-        and its first two fitted values give the rows' scores.  Floating
-        point errors are left to the caller's ``np.errstate``.
+        The first two, from :func:`_link` as in :meth:`FittedModel.predict`,
+        give the rows' scores.  ``rows`` serves both :meth:`gradient_from`
+        and :meth:`hessian_from`.  Floating point errors are left to the
+        caller's ``np.errstate``.
         """
         n = self.n
         mean_lin, disp_lin = self._linear(x)
+        mean, spread = _link(self.family, mean_lin, disp_lin)
         if self.family.is_beta:
-            mu = np.minimum(np.maximum(sp.expit(mean_lin), EPS), 1.0 - EPS)
-            phi = np.exp(disp_lin)
+            mu, phi = mean, spread
             a, b = mu * phi, (1.0 - mu) * phi
             shapes = np.concatenate([a, b, np.atleast_1d(phi)])
             log_gamma, dig = sp.gammaln(shapes), sp.digamma(shapes)
@@ -372,10 +345,9 @@ class _Likelihood:
             )
             fitted = (mu, phi, shapes)
         else:
-            sigma = np.exp(disp_lin)
-            resid = (self.z - mean_lin) / sigma
+            resid = (self.z - mean) / spread
             total = -0.5 * LOG_2PI * n - self.reps * np.sum(disp_lin) - 0.5 * (resid @ resid)
-            d_mean, d_disp, fitted = resid / sigma, resid * resid - 1.0, (mean_lin, sigma)
+            d_mean, d_disp, fitted = resid / spread, resid * resid - 1.0, (mean, spread)
         f = -float(total) / n
         return (f if np.isfinite(f) else np.inf), (d_mean, d_disp, fitted)
 
@@ -553,7 +525,7 @@ def _initial_params(lik: _Likelihood) -> np.ndarray:
         return np.concatenate([coef, [0.5 * np.log(sigma2)], np.zeros(p)])
     # beta families: method-of-moments precision from the logit-scale residual
     # variance, var(y) ~= var(z) * (mu (1 - mu))^2 by the delta method
-    mu = np.clip(expit(lin), EPS, 1.0 - EPS)
+    mu = _link(lik.family, lin, 0.0)[0]
     phi_points = 1.0 / (sigma2 * mu * (1.0 - mu)) - 1.0
     phi0 = float(np.clip(np.mean(phi_points), 0.5, 1e4))
     return np.concatenate([coef, [np.log(phi0)]])
@@ -580,7 +552,7 @@ def _solve(lik: _Likelihood, init=None):
             coef, lin, resid, sigma2 = _ols_logit(lik)
             log_sigma = 0.5 * np.log(sigma2)
             f = 0.5 * LOG_2PI + log_sigma + 0.5 * float(resid @ resid) / (lik.n * sigma2)
-            return np.concatenate([coef, [log_sigma]]), float(f), True, 0, (lin, np.exp(log_sigma))
+            return np.concatenate([coef, [log_sigma]]), float(f), True, 0, _link(lik.family, lin, log_sigma)
         if init is None:
             x0 = _initial_params(lik)
         else:

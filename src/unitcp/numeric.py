@@ -161,7 +161,9 @@ def beta_quantile(u, p: BetaParams):
 
     Starts from scipy's inverse and polishes with safeguarded Newton steps
     (bracketed, so each iterate stays inside a shrinking interval known to
-    contain the root) until the CDF residual is below 1e-10.
+    contain the root) until the CDF residual is below 1e-10.  When the true
+    quantile lies below the smallest positive double (tiny shapes, small
+    u), it returns that double, 5e-324, whose CDF exceeds u.
     """
     uu = _require_open_unit(u, "u")
     a, b = p.alpha, p.beta
@@ -181,9 +183,10 @@ def beta_quantile(u, p: BetaParams):
         lo = np.where(err < 0.0, np.maximum(lo, y), lo)
         if np.all(np.nextafter(lo, 1.0) >= hi):
             break  # brackets exhausted double precision
-        dens = beta_pdf(y, p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = y - err / dens
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # the density overflows to inf at a subnormal y, which gives a
+            # zero Newton step and falls back to bisection
+            newton = y - err / beta_pdf(y, p)
         bad = ~np.isfinite(newton) | (newton <= lo) | (newton >= hi)
         y = np.clip(np.where(bad, 0.5 * (lo + hi), newton), inner_lo, inner_hi)
 

@@ -38,14 +38,6 @@ class ScoreKind(enum.Enum):
     PEARSON = "pearson"
     QUANTILE = "quantile"
 
-    @classmethod
-    def from_name(cls, name: str) -> "ScoreKind":
-        key = name.strip().lower()
-        for kind in cls:
-            if key == kind.value:
-                return kind
-        raise ValueError(f"unknown score kind {name!r}")
-
     def valid_for(self, family: ModelFamily) -> bool:
         if self is ScoreKind.RAW:
             return family is ModelFamily.TRANSFORM_HOMO
@@ -57,19 +49,25 @@ def _check_kind(kind: ScoreKind, family: ModelFamily) -> None:
         raise ValueError(f"score kind {kind.value} is not defined for family {family.value}")
 
 
+def beta_sd(mu, phi):
+    """Standard deviation sqrt(mu (1 - mu) / (1 + phi)) of a beta response
+    with mean ``mu`` and precision ``phi``."""
+    return np.sqrt(mu * (1.0 - mu) / (1.0 + phi))
+
+
 def _score_fitted(kind: ScoreKind, family: ModelFamily, response, mean, spread):
     """Scores of responses under fitted values: the kernel of :func:`score`.
 
     ``response`` is y for the beta families and logit(y) for the transform
-    families; ``mean`` and ``spread`` are the fitted mu and phi, or the
-    fitted linear predictor and sigma, per row or shared.  Full conformal
-    scores its refits here, from the fitted values of their last
-    derivative pass.
+    families; ``mean`` and ``spread`` are the family's fitted values, mu
+    and phi or the linear predictor and sigma, per row or shared: those of
+    :meth:`FittedModel.predict`, or for full conformal's refits those of
+    their last derivative pass.
     """
     _check_kind(kind, family)
     if family.is_beta:
         if kind is ScoreKind.PEARSON:
-            return np.abs(response - mean) / np.sqrt(mean * (1.0 - mean) / (1.0 + spread))
+            return np.abs(response - mean) / beta_sd(mean, spread)
         u = sp.betainc(mean * spread, (1.0 - mean) * spread, response)
         return np.abs(sp.ndtri(np.clip(u, CDF_CLIP, 1.0 - CDF_CLIP)))
     resid = np.abs(response - mean)
@@ -80,16 +78,16 @@ def score(kind: ScoreKind, y, m: FittedModel, x):
     """Non-conformity score of response(s) y at covariate(s) x under ``m``.
 
     Accepts a scalar y with a length-p covariate vector, or a vector y with
-    a matching covariate matrix.
+    a matching covariate matrix.  The scores are those of
+    :func:`_score_fitted` at the fitted values ``m.predict(x)``, for y
+    (beta families) or logit(y) (transform families).
     """
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr <= 0.0) or np.any(y_arr >= 1.0) or not np.all(np.isfinite(y_arr)):
         raise ValueError("responses must lie strictly in (0, 1)")
 
-    if m.family.is_beta:
-        out = _score_fitted(kind, m.family, y_arr, m.predict_mean(x), m.predict_phi(x))
-    else:
-        out = _score_fitted(kind, m.family, logit(y_arr), m.predict_linear(x), m.predict_sigma(x))
+    response = y_arr if m.family.is_beta else logit(y_arr)
+    out = _score_fitted(kind, m.family, response, *m.predict(x))
 
     if np.isscalar(y) or np.ndim(y) == 0:
         return float(out)

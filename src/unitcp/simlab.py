@@ -83,14 +83,6 @@ class Scenario(enum.Enum):
     def has_dispersion_level(self) -> bool:
         return self in (Scenario.TRANSFORM_HOMO, Scenario.BETA_MEAN)
 
-    @classmethod
-    def from_name(cls, name: str) -> "Scenario":
-        key = name.strip().lower()
-        for sc in cls:
-            if key in (sc.value, sc.name.lower()):
-                return sc
-        raise ValueError(f"unknown scenario {name!r}")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -312,13 +304,11 @@ def summarize(outcomes) -> CoverageReport:
 
 
 def _predictive_draw(model: FittedModel, x_new, rng: np.random.Generator) -> float:
+    mean, spread = (float(v) for v in model.predict(x_new))
     if model.family.is_beta:
-        mu = float(model.predict_mean(x_new))
-        phi = float(model.predict_phi(x_new))
-        y = rng.beta(mu * phi, (1.0 - mu) * phi)
+        y = rng.beta(mean * spread, (1.0 - mean) * spread)
     else:
-        z = rng.normal(float(model.predict_linear(x_new)), float(model.predict_sigma(x_new)))
-        y = expit(z)
+        y = expit(rng.normal(mean, spread))
     return float(np.clip(y, EPS, 1.0 - EPS))
 
 

@@ -20,7 +20,7 @@ from unitcp.cli import (
     INTERVAL_COLUMNS,
     INTERVALS_SCHEMA,
 )
-from unitcp import cli
+from unitcp import Method, ModelFamily, Scenario, ScoreKind, cli
 from unitcp.datasets import bodyfat_path
 
 
@@ -231,6 +231,9 @@ _SMALL_RUN = {
     pytest.param(["predict", "--model", "m1", "--score", "foo"], id="predict-score"),
     pytest.param(["predict", "--model", "m3", "--score", "raw"], id="predict-model-score-pair"),
     pytest.param(["fit", "--model", "m9"], id="fit-model"),
+    pytest.param(["predict", "--model", "m1", "--method", "jackknife"], id="predict-method"),
+    pytest.param(["simulate", "--scenario", "s1,s9"], id="simulate-scenario"),
+    pytest.param(["analyze", "--method", "split,jackknife"], id="analyze-method"),
     pytest.param(["simulate", "--replications-split", "0"], id="simulate-replications-split"),
     pytest.param(["simulate", "--method", "full", "--replications-full", "0"], id="simulate-replications-full"),
     pytest.param(["simulate", "--workers", "0"], id="simulate-workers"),
@@ -260,6 +263,27 @@ def test_bad_option_values_are_usage_errors_before_any_work(tmp_path, capsys, mo
     assert "usage error" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["fit", "--input", "in.csv", "--model", "m9"], "bad model 'm9': expected one of m1, m2, m3, m4"),
+    (["predict", "--input", "in.csv", "--new", "new.csv", "--model", "m2", "--score", "foo"],
+     "bad score 'foo': expected one of raw, pearson, quantile"),
+    (["predict", "--input", "in.csv", "--new", "new.csv", "--model", "m1", "--method", "jackknife"],
+     "bad method 'jackknife': expected one of split, full, bootstrap"),
+    (["simulate", "--scenario", "s1,s9"], "bad scenario 's9': expected one of s1, s2, s3, s4"),
+])
+def test_bad_names_list_the_choices(tmp_path, capsys, argv, message):
+    assert main([*argv, "--output", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_names_match_value_or_member_name_in_any_case():
+    assert cli._member(ModelFamily)(" Transform_Hetero ") is ModelFamily.TRANSFORM_HETERO
+    assert cli._member(ModelFamily)("M3") is ModelFamily.BETA_MEAN
+    assert cli._member(Scenario)("beta_mean_disp") is Scenario.BETA_MEAN_DISP
+    assert cli._member(ScoreKind)("Pearson") is ScoreKind.PEARSON
+    assert cli._member(Method)("FULL") is Method.FULL
 
 
 @pytest.mark.parametrize("values", [

@@ -36,6 +36,7 @@ from unitcp.cli import ANALYSIS_BATTERY, load_csv
 from unitcp.conformal import _invert_split, _search, _split_fit
 from unitcp.datasets import bodyfat_path
 from unitcp.models import _Likelihood, fit
+from unitcp.scores import beta_sd
 
 from conftest import make_scenario_data
 from test_models import M1, M2, M3, M4, make_model
@@ -86,7 +87,7 @@ def test_invert_split_m3_quantile_degenerate():
     m = make_model(M3, 0.4, [0.2, -0.1, 0.3], np.log(8.0))
     x = np.array([0.3, -0.2, 0.1])
     iv = _invert_split(m, ScoreKind.QUANTILE, 0.0, x, 0.9)
-    median = float(beta_quantile(0.5, BetaParams(float(m.predict_mean(x)), 8.0)))
+    median = float(beta_quantile(0.5, BetaParams(float(m.predict(x)[0]), 8.0)))
     assert iv.lower == pytest.approx(median, abs=1e-9)
     assert iv.upper == pytest.approx(median, abs=1e-9)
 
@@ -95,8 +96,9 @@ def test_invert_split_pearson_truncation():
     # mu=0.05, sigma=0.05 needs phi=18; q=2 pushes the lower bound below zero
     m = make_model(M3, float(np.log(0.05 / 0.95)), np.zeros(3), np.log(18.0))
     x = np.zeros(3)
-    assert float(m.predict_mean(x)) == pytest.approx(0.05, abs=1e-12)
-    assert float(m.predict_sigma(x)) == pytest.approx(0.05, abs=1e-12)
+    mu, phi = m.predict(x)
+    assert float(mu) == pytest.approx(0.05, abs=1e-12)
+    assert float(beta_sd(mu, phi)) == pytest.approx(0.05, abs=1e-12)
     iv = _invert_split(m, ScoreKind.PEARSON, 2.0, x, 0.9)
     assert iv.lower == 0.0
     assert iv.upper == pytest.approx(0.15, abs=1e-12)
@@ -228,7 +230,7 @@ def test_indicator_deterministic_and_saturating(beta_mean_data):
 def test_indicator_true_near_center(beta_mean_data):
     data, x_new, _ = beta_mean_data
     base = fit(data, M3)
-    center = float(base.predict_mean(x_new))
+    center = float(base.predict(x_new)[0])
     assert indicator(center, data, x_new, M3, ScoreKind.QUANTILE, 0.2)
 
 

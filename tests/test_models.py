@@ -20,6 +20,7 @@ from unitcp import (
 from unitcp.cli import load_csv
 from unitcp.datasets import bodyfat_path
 from unitcp.models import MAX_ITER, _Likelihood, _initial_params
+from unitcp.scores import beta_sd
 
 from conftest import make_scenario_data
 
@@ -201,59 +202,73 @@ def test_mle_consistency(spec, scenario, disp):
 
 def test_predict_mean_examples():
     m = make_model(M1, 0.0, np.zeros(3), 0.0)
-    assert float(m.predict_mean(np.zeros(3))) == pytest.approx(0.5)
+    assert float(expit(m.predict(np.zeros(3))[0])) == pytest.approx(0.5)
     m = make_model(M3, 0.5, [0.4, -0.3, 0.3], np.log(10.0))
-    assert float(m.predict_mean(np.zeros(3))) == pytest.approx(expit(0.5), abs=1e-12)
+    assert float(m.predict(np.zeros(3))[0]) == pytest.approx(expit(0.5), abs=1e-12)
     lifted = make_model(M3, 0.9, [0.4, -0.3, 0.3], np.log(10.0))
-    assert float(lifted.predict_mean(np.zeros(3))) > float(m.predict_mean(np.zeros(3)))
+    assert float(lifted.predict(np.zeros(3))[0]) > float(m.predict(np.zeros(3))[0])
 
 
 def test_predict_linear_examples():
     m = make_model(M1, 0.0, np.zeros(3), 0.0)
-    assert float(m.predict_linear(np.zeros(3))) == 0.0
+    assert float(m.predict(np.zeros(3))[0]) == 0.0
     m = make_model(M2, 0.4, [0.25, -0.2, 0.2], -0.2, [0.06, 0.06, 0.06])
     x = np.ones(3)
-    assert float(m.predict_linear(x)) == pytest.approx(0.65, abs=1e-12)
-    assert float(logit(m.predict_mean(x))) == pytest.approx(float(m.predict_linear(x)), abs=1e-12)
-    beta_model = make_model(M3, 0.5, [0.4, -0.3, 0.3], np.log(10.0))
-    with pytest.raises(ValueError):
-        beta_model.predict_linear(x)
+    assert float(m.predict(x)[0]) == pytest.approx(0.65, abs=1e-12)
+    # a beta model's mean is the expit of the same linear predictor
+    beta_model = make_model(M4, 0.4, [0.25, -0.2, 0.2], -0.2, [0.06, 0.06, 0.06])
+    assert float(logit(beta_model.predict(x)[0])) == pytest.approx(float(m.predict(x)[0]), abs=1e-12)
 
 
 def test_predict_sigma_examples():
     m1 = make_model(M1, 0.0, np.zeros(3), np.log(0.63))
     for x in (np.zeros(3), np.array([5.0, -2.0, 1.0])):
-        assert float(m1.predict_sigma(x)) == pytest.approx(0.63, abs=1e-12)
+        assert float(m1.predict(x)[1]) == pytest.approx(0.63, abs=1e-12)
     m3 = make_model(M3, 0.0, np.zeros(3), np.log(10.0))
-    assert float(m3.predict_sigma(np.zeros(3))) == pytest.approx(np.sqrt(0.25 / 11.0), abs=1e-9)
+    assert float(beta_sd(*m3.predict(np.zeros(3)))) == pytest.approx(np.sqrt(0.25 / 11.0), abs=1e-9)
     m2 = make_model(M2, 0.4, [0.25, -0.2, 0.2], -0.2, [0.06, 0.06, 0.06])
-    assert float(m2.predict_sigma(np.zeros(3))) == pytest.approx(np.exp(-0.2), abs=1e-12)
+    assert float(m2.predict(np.zeros(3))[1]) == pytest.approx(np.exp(-0.2), abs=1e-12)
 
 
 def test_predict_phi_examples():
     m4 = make_model(M4, 0.4, [0.25, -0.2, 0.2], 1.85, [0.15, 0.15, 0.15])
-    assert float(m4.predict_phi(np.zeros(3))) == pytest.approx(np.exp(1.85), abs=1e-10)
-    assert float(m4.predict_phi(np.ones(3))) > float(m4.predict_phi(np.zeros(3)))
+    assert float(m4.predict(np.zeros(3))[1]) == pytest.approx(np.exp(1.85), abs=1e-10)
+    assert float(m4.predict(np.ones(3))[1]) > float(m4.predict(np.zeros(3))[1])
     m3 = make_model(M3, 0.0, np.zeros(3), np.log(10.0))
-    assert float(m3.predict_phi(np.ones(3))) == pytest.approx(10.0, abs=1e-12)
-    m1 = make_model(M1, 0.0, np.zeros(3), 0.0)
-    with pytest.raises(ValueError):
-        m1.predict_phi(np.zeros(3))
+    assert float(m3.predict(np.ones(3))[1]) == pytest.approx(10.0, abs=1e-12)
 
 
 def test_predict_dimension_mismatch():
     m = make_model(M3, 0.0, np.zeros(3), np.log(10.0))
     with pytest.raises(ValueError):
-        m.predict_mean(np.zeros(2))
+        m.predict(np.zeros(2))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+def test_predict_rejects_wrong_covariate_length(spec):
+    m = make_model(spec, 0.0, np.zeros(3), 0.0)
+    for x in (np.zeros(4), np.zeros((5, 2)), 0.0):
+        with pytest.raises(ValueError, match="length 3"):
+            m.predict(x)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+def test_predict_matches_likelihood_fitted_values(spec):
+    scenario = {M1: Scenario.TRANSFORM_HOMO, M2: Scenario.TRANSFORM_HETERO,
+                M3: Scenario.BETA_MEAN, M4: Scenario.BETA_MEAN_DISP}[spec]
+    data, _, _ = make_scenario_data(scenario, 80, None, seed=9)
+    m = fit(data, spec)
+    _, (_, _, fitted) = _Likelihood(data, spec.family).evaluate(m.params)
+    for got, want in zip(m.predict(data.X), fitted[:2]):
+        np.testing.assert_allclose(np.broadcast_to(got, (data.n,)), np.broadcast_to(want, (data.n,)), rtol=1e-12)
 
 
 def test_sigma_phi_consistency():
     for spec, scenario, disp in ((M3, Scenario.BETA_MEAN, 10.0), (M4, Scenario.BETA_MEAN_DISP, None)):
         data, x_new, _ = make_scenario_data(scenario, 400, disp, seed=5)
         m = fit(data, spec)
-        mu = m.predict_mean(data.X)
-        phi = m.predict_phi(data.X)
-        sig = m.predict_sigma(data.X)
+        mu, phi = m.predict(data.X)
+        sig = beta_sd(mu, phi)
         assert np.max(np.abs(sig**2 * (1.0 + phi) - mu * (1.0 - mu))) < 1e-10
 
 

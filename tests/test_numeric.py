@@ -5,6 +5,8 @@ quadrature of the density and, for the trigamma function, from
 scipy.special.polygamma; the library code never touches these paths.
 """
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -140,6 +142,17 @@ def test_beta_quantile_against_bisection_oracle():
         else:
             hi = mid
     assert abs(beta_quantile(0.9, p) - 0.5 * (lo + hi)) < 1e-8
+
+
+def test_beta_quantile_below_smallest_double_warns_nothing():
+    # shapes a = 0.01, b = 0.49: the 1e-4 quantile lies below the smallest
+    # positive double, where the density in the Newton step overflows
+    p = BetaParams(0.02, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = beta_quantile(1e-4, p)
+    assert y == np.nextafter(0.0, 1.0)
+    assert beta_cdf(y, p) > 1e-4
 
 
 def test_beta_domain_errors():

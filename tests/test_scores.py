@@ -40,18 +40,18 @@ def test_kind_family_compatibility():
 def test_zero_residual_scores():
     m1 = make_model(M1, 0.3, [0.1, 0.2, -0.1], np.log(0.5))
     x = np.array([1.0, -1.0, 2.0])
-    y_hat = float(m1.predict_mean(x))
+    y_hat = float(expit(m1.predict(x)[0]))
     assert score(ScoreKind.RAW, y_hat, m1, x) == pytest.approx(0.0, abs=1e-12)
 
     m2 = make_model(M2, 0.3, [0.1, 0.2, -0.1], -0.2, [0.06, 0.06, 0.06])
-    y_hat = float(m2.predict_mean(x))
+    y_hat = float(expit(m2.predict(x)[0]))
     assert score(ScoreKind.PEARSON, y_hat, m2, x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_quantile_score_zero_at_conditional_median():
     m3 = make_model(M3, 0.4, [0.2, -0.1, 0.3], np.log(8.0))
     x = np.array([0.5, 0.5, -0.5])
-    p = BetaParams(float(m3.predict_mean(x)), float(m3.predict_phi(x)))
+    p = BetaParams(*(float(v) for v in m3.predict(x)))
     median = float(beta_quantile(0.5, p))
     assert score(ScoreKind.QUANTILE, median, m3, x) == pytest.approx(0.0, abs=1e-8)
 
