@@ -11,7 +11,6 @@ from .conformal import (
     IntervalSearchWarning,
     PredictionInterval,
     SplitConfig,
-    classical_gauss_interval,
     conformal_quantile,
     full_cp,
     indicator,
@@ -76,7 +75,6 @@ __all__ = [
     "beta_pdf",
     "beta_quantile",
     "bootstrap_interval",
-    "classical_gauss_interval",
     "conformal_quantile",
     "expit",
     "fit",

@@ -278,7 +278,6 @@ def _bounded(convert, accept, condition: str):
 
 
 _UNIT_FRACTION = _bounded(float, lambda v: 0.0 < v < 1.0, "strictly in (0, 1)")
-_POSITIVE = _bounded(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 _COUNT = _bounded(int, lambda v: v >= 1, "at least 1")
 _SEED = _bounded(int, lambda v: v >= 0, "non-negative")
 _BOOTSTRAP_B = _bounded(int, lambda v: v >= 100, "at least 100")
@@ -287,11 +286,6 @@ _BOOTSTRAP_B = _bounded(int, lambda v: v >= 100, "at least 100")
 def _add_common(p):
     p.add_argument("--alpha", type=_UNIT_FRACTION, default=0.1, help="miscoverage level (default 0.1)")
     p.add_argument("--seed", type=_SEED, default=0, help="base RNG seed (default 0)")
-
-
-def _add_rho(p):
-    help_ = "full CP searches m1/m2 over the classical interval plus rho widths per side (default %(default)s)"
-    p.add_argument("--rho", type=_POSITIVE, default=FullConfig.rho, help=help_)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--score", default=None, help="raw|pearson|quantile (default per model)")
     p_pred.add_argument("--method", default="split", help="split|full|bootstrap (default split)")
-    _add_rho(p_pred)
     p_pred.add_argument("--bootstrap-b", type=_BOOTSTRAP_B, default=500)
     p_pred.add_argument("--rescale", nargs=2, type=float, metavar=("A", "B"))
     p_pred.add_argument("--output", required=True)
@@ -339,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--test-fraction", type=_UNIT_FRACTION, default=0.1, help="test share, in (0, 1) (default %(default)s)"
     )
-    _add_rho(p_an)
     p_an.add_argument("--bootstrap-b", type=_BOOTSTRAP_B, default=500)
     p_an.add_argument("--rescale", nargs=2, type=float, metavar=("A", "B"))
     p_an.add_argument("--output", required=True, help="output directory")
@@ -438,13 +430,13 @@ def _intervals(method: Method, data, X_new, spec, kind, args, split_seed, seed_p
     Split CP runs one batch with split seed ``split_seed`` and charges every
     row an equal share of its CPU time.  Full CP and the bootstrap run row by
     row; bootstrap row i draws from seed ``[*seed_prefix, i]`` and ignores
-    ``kind``.  ``args`` supplies ``alpha``, ``rho`` and ``bootstrap_b``.
+    ``kind``.  ``args`` supplies ``alpha`` and ``bootstrap_b``.
     """
     if method is Method.SPLIT:
         start = time.process_time()
         intervals = split_cp_batch(data, X_new, spec, kind, SplitConfig(args.alpha, rng_seed=split_seed))
         return intervals, [(time.process_time() - start) / len(X_new)] * len(X_new)
-    cfg = FullConfig(args.alpha, rho=args.rho)
+    cfg = FullConfig(args.alpha)
     intervals, cpus = [], []
     for i, x in enumerate(X_new):
         start = time.process_time()

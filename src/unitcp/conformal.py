@@ -12,7 +12,8 @@ from the outermost included points it extrapolates by secant until a
 candidate is excluded, and closes the bracket by Illinois regula falsi,
 returning the included end of a bracket no wider than the resolution.
 The beta families are searched in y on (0, 1); the transform families on
-the logit scale over an extended classical prediction interval.  The
+the logit scale over (-LOGIT_LIMIT, LOGIT_LIMIT).  When k > n every
+candidate is in the set, and the interval is (0, 1) with no fit.  The
 base fit is made once per dataset and family and kept on the dataset.
 The refits of an interval share one candidate workspace, built and
 validated once: the design of the n rows plus the new covariate row,
@@ -38,12 +39,13 @@ from .models import (
     FittedModel,
     ModelSpec,
     NonConvergence,
+    _checked_row,
     _Likelihood,
     _solve,
     fit,
 )
-from .numeric import BetaParams, beta_quantile, expit, norm_cdf, norm_quantile
-from .scores import CDF_CLIP, ScoreKind, _score_fitted, beta_sd, score
+from .numeric import BetaParams, beta_quantile, expit, norm_cdf
+from .scores import CDF_CLIP, ScoreKind, _check_kind, _score_fitted, beta_sd, score
 
 __all__ = [
     "PredictionInterval",
@@ -55,11 +57,10 @@ __all__ = [
     "split_cp_batch",
     "indicator",
     "full_cp",
-    "classical_gauss_interval",
 ]
 
-# candidate grids never leave [expit(-LOGIT_LIMIT), expit(LOGIT_LIMIT)], which
-# keeps expit() away from exact 0/1
+# the transform families' search range on the logit scale; expit() of it
+# stays away from exact 0/1
 LOGIT_LIMIT = 36.0
 
 # the edge search extrapolates at most this many times its last step
@@ -127,27 +128,20 @@ class SplitConfig:
 class FullConfig:
     """Settings for full conformal prediction.
 
-    ``rho`` extends the classical interval by ``rho`` widths on each side
-    to bound the transform families' search range.  Its default is the
-    package's only one: ``run_coverage`` uses it, and the CLI's ``--rho``
-    reads its default from here.  The endpoint resolutions are fixed, not
-    settings: ``tolerance`` in y for the beta families' search and
-    ``grid_step`` on the logit scale for the transform families'.  Each
-    returned endpoint is included and lies within that resolution of the
-    edge of the conformal set.
+    The endpoint resolutions are fixed, not settings: ``tolerance`` in y
+    for the beta families' search and ``grid_step`` on the logit scale for
+    the transform families'.  Each returned endpoint is included and lies
+    within that resolution of the edge of the conformal set.
     """
 
     tolerance: ClassVar[float] = 1e-4
     grid_step: ClassVar[float] = 1e-4
 
     alpha: float
-    rho: float = 3.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
 
 
 def conformal_quantile(scores, alpha: float) -> float:
@@ -300,21 +294,7 @@ def indicator(
     return _margin(aug_candidate, ws, kind, alpha, init).margin <= 0.0
 
 
-def classical_gauss_interval(m: FittedModel, x_new, alpha: float) -> tuple[float, float]:
-    """Classical normal prediction interval on the logit scale: the fitted
-    linear predictor plus or minus the normal quantile times sigma.
-
-    Defined for the transform families only; a beta model raises
-    ``ValueError``.
-    """
-    if m.family.is_beta:
-        raise ValueError("the classical interval is defined for the transform families only")
-    center, sigma = (float(v) for v in m.predict(x_new))
-    half = float(norm_quantile(1.0 - alpha / 2.0)) * sigma
-    return center - half, center + half
-
-
-def _edge(margin, inside, outside, tol: float, prev=None) -> tuple[float, bool]:
+def _edge(margin, inside, outside, tol: float, prev=None) -> float:
     """Locate the edge of the inclusion region between two points.
 
     ``inside`` is a point (u, margin(u)) with margin <= 0.  ``outside`` is an
@@ -336,7 +316,7 @@ def _edge(margin, inside, outside, tol: float, prev=None) -> tuple[float, bool]:
     by that much.
 
     Returns the inside end of a final bracket no wider than ``tol``, which
-    is certified included, and whether the region reached the range end.
+    is certified included.
     """
     (a, fa), (b, fb) = inside, outside
     sign = 1.0 if b > a else -1.0
@@ -368,7 +348,7 @@ def _edge(margin, inside, outside, tol: float, prev=None) -> tuple[float, bool]:
             if kept == "outside" and fb is not None:
                 fb *= 0.5
             prev, (a, fa), kept = (a, fa), (r, m), "outside"
-    return a, fb is None
+    return a
 
 
 def _search(margin, centre, lo: float, hi: float, tol: float, guesses):
@@ -384,7 +364,7 @@ def _search(margin, centre, lo: float, hi: float, tol: float, guesses):
     included.  Then :func:`_edge` locates each edge from the outermost
     included points, with ``centre`` to steer its first secant step; the
     estimate never certifies an endpoint.  Returns None for an empty
-    region, else (lower, upper, whether the region reached a range end).
+    region, else (lower, upper).
     """
     known = {lo: None, hi: None}
 
@@ -406,9 +386,9 @@ def _search(margin, centre, lo: float, hi: float, tol: float, guesses):
     xs = sorted(known)
     hits = [i for i, u in enumerate(xs) if known[u] is not None and known[u] <= 0.0]
     i, j = hits[0], hits[-1]
-    lower, lo_end = _edge(margin, (xs[i], known[xs[i]]), (xs[i - 1], known[xs[i - 1]]), tol, centre)
-    upper, hi_end = _edge(margin, (xs[j], known[xs[j]]), (xs[j + 1], known[xs[j + 1]]), tol, centre)
-    return lower, upper, lo_end or hi_end
+    lower = _edge(margin, (xs[i], known[xs[i]]), (xs[i - 1], known[xs[i - 1]]), tol, centre)
+    upper = _edge(margin, (xs[j], known[xs[j]]), (xs[j + 1], known[xs[j + 1]]), tol, centre)
+    return lower, upper
 
 
 def _contiguity_probes(interval: PredictionInterval, include, tol: float) -> None:
@@ -461,10 +441,13 @@ def full_cp(
 ) -> PredictionInterval:
     """Full conformal prediction interval for one new covariate vector.
 
-    The beta families are searched in y on (0, 1) to ``cfg.tolerance``
-    around the fitted mean; the transform families in logit over the
-    classical interval extended by ``cfg.rho`` widths on each side, to
-    ``cfg.grid_step``, around the fitted linear predictor.  The first
+    When k = ceil((1 - alpha)(n + 1)) exceeds n, every candidate is in the
+    set: the result is (0, 1), as in split CP, and nothing is fitted; the
+    score kind and ``x_new`` are still checked.
+    Otherwise the beta families are searched in y on (0, 1) to
+    ``cfg.tolerance`` around the fitted mean, and the transform families in
+    logit on (-LOGIT_LIMIT, LOGIT_LIMIT) to ``cfg.grid_step`` around the
+    fitted linear predictor, so neither search range cuts the set.  The first
     probes are just inside the edges where the base fit puts them: the
     split inversion of the base model at the conformal quantile of its
     own scores.  The fitted centre is refitted only when neither is included;
@@ -483,10 +466,14 @@ def full_cp(
     dropped when the call returns.
     """
     x_new = np.asarray(x_new, dtype=float)
+    level = 1.0 - cfg.alpha
+    if _conformal_rank(cfg.alpha, data.n) > data.n:
+        _check_kind(kind, spec.family)
+        _checked_row(x_new, data.p)
+        return PredictionInterval(0.0, 1.0, level)
     base = _base_fit(data, spec)
     if not base.converged:
         raise NonConvergence("base fit did not converge")
-    level = 1.0 - cfg.alpha
     fitted: list[tuple[float, np.ndarray]] = []  # (candidate, refit parameters)
 
     def start(y: float) -> np.ndarray:
@@ -512,15 +499,10 @@ def full_cp(
     predicted = _invert_split(base, kind, q, x_new, level)
     centre = float(base.predict(x_new)[0])
     if spec.family.is_beta:
-        to_y, tol = float, cfg.tolerance
-        lo, hi = 0.0, 1.0
+        to_y, tol, lo, hi = float, cfg.tolerance, 0.0, 1.0
         guesses = (predicted.lower, predicted.upper)
     else:
-        to_y, tol = (lambda u: float(expit(u))), cfg.grid_step
-        lo_cl, hi_cl = classical_gauss_interval(base, x_new, cfg.alpha)
-        width = hi_cl - lo_cl
-        lo = max(lo_cl - cfg.rho * width, -LOGIT_LIMIT)
-        hi = min(hi_cl + cfg.rho * width, LOGIT_LIMIT)
+        to_y, tol, lo, hi = (lambda u: float(expit(u))), cfg.grid_step, -LOGIT_LIMIT, LOGIT_LIMIT
         with np.errstate(divide="ignore"):
             guesses = tuple(float(np.log(y) - np.log1p(-y)) for y in (predicted.lower, predicted.upper))
     estimate = float(score(kind, to_y(centre), base, x_new)) - q
@@ -528,12 +510,6 @@ def full_cp(
     found = _search(lambda u: margin(to_y(u)), (centre, estimate), lo, hi, tol, guesses)
     if found is None:
         return PredictionInterval(math.nan, math.nan, level, empty=True)
-    lower, upper, at_end = found
-    if at_end and not spec.family.is_beta:
-        warnings.warn(
-            "inclusion region reaches the extended grid boundary; consider a larger rho",
-            IntervalSearchWarning,
-        )
-    interval = PredictionInterval(to_y(lower), to_y(upper), level)
+    interval = PredictionInterval(to_y(found[0]), to_y(found[1]), level)
     _contiguity_probes(interval, lambda y: margin(y) <= 0.0, tol)
     return interval

@@ -20,7 +20,6 @@ from unitcp import (
     SingularDesign,
     SplitConfig,
     beta_quantile,
-    classical_gauss_interval,
     conformal_quantile,
     expit,
     full_cp,
@@ -207,7 +206,7 @@ def test_interval_and_full_config_hold_only_settable_fields():
     with pytest.raises(TypeError):
         PredictionInterval(0.1, 0.2, 0.9, "split")
     # the search resolutions are constants, not settings
-    assert [f.name for f in dataclasses.fields(FullConfig)] == ["alpha", "rho"]
+    assert [f.name for f in dataclasses.fields(FullConfig)] == ["alpha"]
     with pytest.raises(TypeError):
         FullConfig(0.1, tolerance=1e-3)
     assert FullConfig(0.1).tolerance == FullConfig.grid_step == 1e-4
@@ -240,20 +239,6 @@ def test_indicator_candidate_domain(beta_mean_data):
         indicator(0.0, data, x_new, M3, ScoreKind.QUANTILE, 0.1)
 
 
-def test_classical_gauss_interval():
-    m = make_model(M1, 0.0, np.zeros(3), 0.0)  # sigma = 1
-    lo, hi = classical_gauss_interval(m, np.zeros(3), 0.05)
-    assert lo == pytest.approx(-1.95996, abs=5e-5)
-    assert hi == pytest.approx(1.95996, abs=5e-5)
-    assert (lo + hi) / 2 == pytest.approx(0.0, abs=1e-12)
-    m2 = make_model(M1, 0.0, np.zeros(3), np.log(2.0))
-    lo2, hi2 = classical_gauss_interval(m2, np.zeros(3), 0.05)
-    assert (hi2 - lo2) == pytest.approx(2.0 * (hi - lo), rel=1e-12)
-    beta_model = make_model(M3, 0.0, np.zeros(3), np.log(10.0))
-    with pytest.raises(ValueError):
-        classical_gauss_interval(beta_model, np.zeros(3), 0.05)
-
-
 def test_full_cp_nesting_in_alpha():
     data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 60, 10.0, seed=34)
     wide = full_cp(data, x_new, M3, ScoreKind.QUANTILE, FullConfig(0.1))
@@ -271,6 +256,33 @@ def test_full_cp_transform_families_run(spec, scenario, disp, kind):
     iv = full_cp(data, x_new, spec, kind, FullConfig(0.1))
     assert not iv.empty
     assert 0.0 < iv.lower < iv.upper < 1.0
+
+
+@pytest.mark.parametrize("spec,scenario,disp,kind", [
+    (M1, Scenario.TRANSFORM_HOMO, 0.63, ScoreKind.RAW),
+    (M2, Scenario.TRANSFORM_HETERO, None, ScoreKind.PEARSON),
+    (M3, Scenario.BETA_MEAN, 10.0, ScoreKind.QUANTILE),
+    (M4, Scenario.BETA_MEAN_DISP, None, ScoreKind.PEARSON),
+])
+def test_full_cp_is_the_unit_interval_before_any_fit_when_k_exceeds_n(monkeypatch, spec, scenario, disp, kind):
+    # with n = 8 and alpha = 0.1, k = ceil(0.9 * 9) = 9 > n: every candidate is in the set
+    data, x_new, _ = make_scenario_data(scenario, 8, disp, seed=50)
+    calls = []
+    real_fit = conformal.fit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(conformal, "fit", counting_fit)
+    iv = full_cp(data, x_new, spec, kind, FullConfig(0.1))
+    assert (iv.lower, iv.upper, iv.level, iv.empty) == (0.0, 1.0, 0.9, False)
+    for bad in (x_new[:-1], np.append(x_new[:-1], np.nan)):
+        with pytest.raises(ValueError):
+            full_cp(data, bad, spec, kind, FullConfig(0.1))
+    with pytest.raises(ValueError):
+        full_cp(data, x_new, spec, ScoreKind.PEARSON if spec is M1 else ScoreKind.RAW, FullConfig(0.1))
+    assert calls == []
 
 
 def test_full_cp_matches_exhaustive_grid_small():
@@ -352,13 +364,14 @@ def exact_m1_raw_hull(data, x_new, alpha):
 def test_full_cp_m1_matches_exact_set():
     cfg = FullConfig(0.1)
     slack = cfg.grid_step * (1.0 + 1e-6) + 1e-9
-    for n in (30, 100, 1000):
-        for seed in range(20):
-            data, x_new, _ = make_scenario_data(Scenario.TRANSFORM_HOMO, n, 0.63, seed=1200 + seed)
-            iv = full_cp(data, x_new, M1, ScoreKind.RAW, cfg)
-            lo, hi = exact_m1_raw_hull(data, x_new, cfg.alpha)
-            assert abs(logit(iv.lower) - lo) <= slack
-            assert abs(logit(iv.upper) - hi) <= slack
+    # at n = 10, seed 1230 the set reaches far past the classical interval
+    cases = [(n, 1200 + seed) for n in (30, 100, 1000) for seed in range(20)] + [(10, 1230)]
+    for n, seed in cases:
+        data, x_new, _ = make_scenario_data(Scenario.TRANSFORM_HOMO, n, 0.63, seed=seed)
+        iv = full_cp(data, x_new, M1, ScoreKind.RAW, cfg)
+        lo, hi = exact_m1_raw_hull(data, x_new, cfg.alpha)
+        assert abs(logit(iv.lower) - lo) <= slack
+        assert abs(logit(iv.upper) - hi) <= slack
 
 
 CERTIFIED_CASES = [
@@ -376,8 +389,11 @@ def test_full_cp_edges_are_certified(spec, scenario, disp, kind):
     # a cold-start fit includes each endpoint and excludes the point one
     # search tolerance outside it
     cfg = FullConfig(0.1)
-    for seed in range(3):
-        data, x_new, _ = make_scenario_data(scenario, 100, disp, seed=1300 + seed)
+    cases = [(100, 1300 + seed) for seed in range(3)]
+    if spec is M2:
+        cases.append((20, 1204))  # a small-n set that reaches far into the lower tail
+    for n, seed in cases:
+        data, x_new, _ = make_scenario_data(scenario, n, disp, seed=seed)
         iv = full_cp(data, x_new, spec, kind, cfg)
         for end, side in ((iv.lower, -1.0), (iv.upper, 1.0)):
             if spec.family.is_beta:
@@ -568,12 +584,11 @@ def _recording(margin):
 def test_search_expands_when_the_centre_is_excluded():
     tol = 1e-4
     margin, calls = _recording(lambda u: abs(u - 0.7) - 0.1)
-    lower, upper, at_end = _search(margin, (0.2, -0.1), 0.0, 1.0, tol, (0.1, 0.3))
+    lower, upper = _search(margin, (0.2, -0.1), 0.0, 1.0, tol, (0.1, 0.3))
     # the guesses, each a quarter tolerance inward, then the centre
     assert calls[:3] == pytest.approx([0.1 + 0.25 * tol, 0.3 - 0.25 * tol, 0.2], abs=1e-15)
     assert 0.6 <= lower < 0.6 + tol
     assert 0.8 - tol < upper <= 0.8
-    assert not at_end
     # every probe keeps tol/2 from the range ends and from every other probe
     points = np.sort(np.concatenate([[0.0, 1.0], calls]))
     assert np.min(np.diff(points)) >= 0.5 * tol * (1.0 - 1e-9)
@@ -584,11 +599,10 @@ def test_search_skips_the_centre_when_both_guesses_are_included(estimate):
     # the centre's estimated margin only steers the first secant steps
     tol = 1e-4
     margin, calls = _recording(lambda u: abs(u - 0.5) - 0.2)
-    lower, upper, at_end = _search(margin, (0.5, estimate), 0.0, 1.0, tol, (0.35, 0.65))
+    lower, upper = _search(margin, (0.5, estimate), 0.0, 1.0, tol, (0.35, 0.65))
     assert 0.5 not in calls
     assert 0.3 <= lower < 0.3 + tol
     assert 0.7 - tol < upper <= 0.7
-    assert not at_end
 
 
 @pytest.mark.parametrize("guesses", [(0.3, 0.7), (0.25, 0.72), (0.4, 0.6)])
@@ -597,20 +611,20 @@ def test_search_endpoints_keep_clear_of_the_edge(guesses):
     # may change sign with the fit's start: probes aimed at an estimated
     # edge go a quarter tolerance inside it
     tol = 1e-4
-    lower, upper, _ = _search(lambda u: abs(u - 0.5) - 0.2, (0.5, -0.2), 0.0, 1.0, tol, guesses)
+    lower, upper = _search(lambda u: abs(u - 0.5) - 0.2, (0.5, -0.2), 0.0, 1.0, tol, guesses)
     assert 0.3 + 0.1 * tol < lower < 0.3 + tol
     assert 0.7 - tol < upper < 0.7 - 0.1 * tol
 
 
 def test_search_walks_to_the_range_end_when_everything_is_included():
-    # k > n: every candidate is included and the margin is -inf
+    # every candidate is included (as when k > n, where the margin is -inf):
+    # the region reaches both range ends
     tol = 1e-4
-    lower, upper, at_end = _search(
+    lower, upper = _search(
         lambda u: -math.inf, (0.3, -math.inf), 0.0, 1.0, tol, (-math.inf, math.inf)
     )
     assert 0.0 < lower <= tol
     assert 1.0 - tol <= upper < 1.0
-    assert at_end
 
 
 def test_search_reports_an_empty_region():
@@ -621,9 +635,8 @@ def test_search_reports_an_empty_region():
 
 def test_search_stops_at_float_resolution():
     # a tolerance below the float spacing must not stall the bracket
-    lower, upper, at_end = _search(
+    lower, upper = _search(
         lambda u: abs(u - 0.3) - 0.1, (0.3, -0.1), 0.0, 1.0, 1e-20, (0.25, 0.35)
     )
     assert lower == pytest.approx(0.2, abs=1e-15)
     assert upper == pytest.approx(0.4, abs=1e-15)
-    assert not at_end
