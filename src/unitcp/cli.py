@@ -113,10 +113,10 @@ class ParseError(DataError):
 def load_csv(path, rescale: tuple[float, float] | None = None) -> Dataset:
     """Read a dataset: header row, one ``y`` column, numeric covariates.
 
-    ``rescale=(a, b)`` maps the response through (y - a) / (b - a) before
-    validation, for data bounded on a general interval.  Rows with missing
-    or non-numeric cells and responses outside the open unit interval are
-    reported with their 1-based data row numbers.
+    ``rescale=(a, b)``, with a < b, maps the response through
+    (y - a) / (b - a) before validation, for data bounded on a general
+    interval.  Rows with missing or non-numeric cells and responses outside
+    the open unit interval are reported with their 1-based data row numbers.
     """
     names, y, X = _read_table(path, rescale)
     return Dataset(y, X)
@@ -168,8 +168,6 @@ def _read_table(path, rescale=None):
     y = values[:, y_col]
     if rescale is not None:
         a, b = rescale
-        if not b > a:
-            raise UsageError("--rescale needs a < b")
         y = (y - a) / (b - a)
     out_of_range = [r + 1 for r, v in enumerate(y) if not 0.0 < v < 1.0]
     if out_of_range:
@@ -277,10 +275,47 @@ def _bounded(convert, accept, condition: str):
     return parse
 
 
+def _member(kind, label: str):
+    """An argparse ``type=`` from a name to the member of the enum ``kind``
+    whose value or lower-case name it is, ignoring case and surrounding
+    blanks; any other name is a usage error that lists the choices."""
+
+    def convert(name: str):
+        key = name.strip().lower()
+        for member in kind:
+            if key in (member.value, member.name.lower()):
+                return member
+        choices = ", ".join(m.value for m in kind)
+        raise argparse.ArgumentTypeError(f"bad {label} {name!r}: expected one of {choices}")
+
+    return convert
+
+
+def _listed(convert, label: str):
+    """An argparse ``type=`` for a comma list of values that ``convert``
+    parses; blank items are skipped, and a list with none left is a usage
+    error."""
+
+    def parse(text):
+        values = [convert(token) for token in (t.strip() for t in text.split(",")) if token]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty {label} list")
+        return values
+
+    parse.__name__ = f"{label} list"  # argparse names it in "invalid sample size list value"
+    return parse
+
+
 _UNIT_FRACTION = _bounded(float, lambda v: 0.0 < v < 1.0, "strictly in (0, 1)")
 _COUNT = _bounded(int, lambda v: v >= 1, "at least 1")
 _SEED = _bounded(int, lambda v: v >= 0, "non-negative")
 _BOOTSTRAP_B = _bounded(int, lambda v: v >= 100, "at least 100")
+_MODEL = _member(ModelFamily, "model")
+_SCORE = _member(ScoreKind, "score")
+_METHOD = _member(Method, "method")
+_MODELS = _listed(_MODEL, "model")
+_SCORES = _listed(_SCORE, "score")
+_METHODS = _listed(_METHOD, "method")
 
 
 def _add_common(p):
@@ -295,27 +330,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit one model family to a CSV dataset")
     p_fit.add_argument("--input", required=True)
-    p_fit.add_argument("--model", required=True, help="m1|m2|m3|m4")
+    p_fit.add_argument("--model", type=_MODEL, required=True, help="m1|m2|m3|m4")
     p_fit.add_argument("--rescale", nargs=2, type=float, metavar=("A", "B"))
     p_fit.add_argument("--output", required=True, help="JSON output path")
 
     p_pred = sub.add_parser("predict", help="prediction intervals for new covariate rows")
     p_pred.add_argument("--input", required=True, help="training CSV (with y column)")
     p_pred.add_argument("--new", required=True, help="CSV of covariate rows (same columns, no y)")
-    p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--score", default=None, help="raw|pearson|quantile (default per model)")
-    p_pred.add_argument("--method", default="split", help="split|full|bootstrap (default split)")
+    p_pred.add_argument("--model", type=_MODEL, required=True)
+    p_pred.add_argument("--score", type=_SCORE, default=None, help="raw|pearson|quantile (default per model)")
+    p_pred.add_argument("--method", type=_METHOD, default="split", help="split|full|bootstrap (default split)")
     p_pred.add_argument("--bootstrap-b", type=_BOOTSTRAP_B, default=500)
     p_pred.add_argument("--rescale", nargs=2, type=float, metavar=("A", "B"))
     p_pred.add_argument("--output", required=True)
     _add_common(p_pred)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo coverage experiments")
-    p_sim.add_argument("--scenario", default="s1,s2,s3,s4", help="comma list of s1..s4")
-    p_sim.add_argument("--model", default="m1,m2,m3,m4", help="comma list of m1..m4")
-    p_sim.add_argument("--score", default=None, help="restrict scores (comma list)")
-    p_sim.add_argument("--method", default="split,full", help="comma list of split,full")
-    p_sim.add_argument("--n", default="100", help="comma list of sample sizes")
+    scenarios = _listed(_member(Scenario, "scenario"), "scenario")
+    p_sim.add_argument("--scenario", type=scenarios, default="s1,s2,s3,s4", help="comma list of s1..s4")
+    p_sim.add_argument("--model", type=_MODELS, default="m1,m2,m3,m4", help="comma list of m1..m4")
+    p_sim.add_argument("--score", type=_SCORES, default=None, help="restrict scores (comma list)")
+    p_sim.add_argument("--method", type=_METHODS, default="split,full", help="comma list of split,full")
+    p_sim.add_argument("--n", type=_listed(_COUNT, "sample size"), default="100", help="comma list of sample sizes")
     p_sim.add_argument("--dispersion", type=float, default=None, help="sigma (s1) or phi (s3) level")
     p_sim.add_argument("--replications-split", type=_COUNT, default=1000)
     p_sim.add_argument("--replications-full", type=_COUNT, default=200)
@@ -325,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="real-data interval analysis")
     p_an.add_argument("--input", default=None, help="CSV path (default: bundled body-fat data)")
-    p_an.add_argument("--model", default=None, help="restrict families (comma list)")
-    p_an.add_argument("--score", default=None, help="restrict scores (comma list)")
-    p_an.add_argument("--method", default="split,full", help="comma list of split,full,bootstrap")
+    p_an.add_argument("--model", type=_MODELS, default=None, help="restrict families (comma list)")
+    p_an.add_argument("--score", type=_SCORES, default=None, help="restrict scores (comma list)")
+    p_an.add_argument("--method", type=_METHODS, default="split,full", help="comma list of split,full,bootstrap")
     p_an.add_argument("--seeds", type=_COUNT, default=1, help="number of random construction/test splits")
     p_an.add_argument(
         "--test-fraction", type=_UNIT_FRACTION, default=0.1, help="test share, in (0, 1) (default %(default)s)"
@@ -340,41 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _member(kind):
-    """A converter from a name to the member of the enum ``kind`` whose value
-    or lower-case name it is, ignoring case and surrounding blanks."""
-
-    def convert(name: str):
-        key = name.strip().lower()
-        for member in kind:
-            if key in (member.value, member.name.lower()):
-                return member
-        raise ValueError(f"expected one of {', '.join(m.value for m in kind)}")
-
-    return convert
-
-
-def _parse_name(token: str, convert, label: str):
-    try:
-        return convert(token)
-    except ValueError as exc:
-        raise UsageError(f"bad {label} {token!r}: {exc}") from exc
-
-
-def _parse_list(raw: str, convert, label: str):
-    out = []
-    for token in raw.split(","):
-        token = token.strip()
-        if token:
-            out.append(_parse_name(token, convert, label))
-    if not out:
-        raise UsageError(f"empty {label} list")
-    return out
-
-
-def _battery(model_filter, score_filter):
-    models = None if model_filter is None else _parse_list(model_filter, _member(ModelFamily), "model")
-    scores = None if score_filter is None else _parse_list(score_filter, _member(ScoreKind), "score")
+def _battery(models, scores):
+    """The ``ANALYSIS_BATTERY`` pairs in ``models`` and ``scores`` (None: all)."""
     combos = [
         (fam, kind)
         for fam, kind in ANALYSIS_BATTERY
@@ -393,11 +396,10 @@ def _battery(model_filter, score_filter):
 
 
 def _cmd_fit(args) -> int:
-    family = _parse_name(args.model, _member(ModelFamily), "model")
-    data = load_csv(args.input, rescale=tuple(args.rescale) if args.rescale else None)
-    model = fit(data, ModelSpec(family))
+    data = load_csv(args.input, args.rescale)
+    model = fit(data, ModelSpec(args.model))
     payload = {
-        "family": family.value,
+        "family": args.model.value,
         "mean_intercept": model.mean_intercept,
         "mean_coef": list(model.mean_coef),
         "disp_intercept": model.disp_intercept,
@@ -449,13 +451,11 @@ def _intervals(method: Method, data, X_new, spec, kind, args, split_seed, seed_p
 
 
 def _cmd_predict(args) -> int:
-    method = _parse_name(args.method, _member(Method), "method")
-    family = _parse_name(args.model, _member(ModelFamily), "model")
-    kind = _parse_name(args.score, _member(ScoreKind), "score") if args.score else _default_score(family)
+    method, family = args.method, args.model
+    kind = args.score or _default_score(family)
     if not kind.valid_for(family):
         raise UsageError(f"the {kind.value} score is not defined for {family.value}")
-    rescale = tuple(args.rescale) if args.rescale else None
-    names, y, X = _read_table(args.input, rescale)
+    names, y, X = _read_table(args.input, args.rescale)
     X_new = _read_new_covariates(args.new, names)
 
     intervals, _ = _intervals(method, Dataset(y, X), X_new, ModelSpec(family), kind, args, args.seed, [args.seed])
@@ -467,30 +467,27 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenarios = _parse_list(args.scenario, _member(Scenario), "scenario")
-    methods = _parse_list(args.method, _member(Method), "method")
-    if Method.BOOTSTRAP in methods:
+    if Method.BOOTSTRAP in args.method:
         raise UsageError("simulate supports split and full methods")
     combos = _battery(args.model, args.score)
-    sizes = _parse_list(args.n, int, "sample size")
+    try:  # every cell is checked before the first one runs
+        cells = [
+            ScenarioConfig(scenario, n, args.dispersion if scenario.has_dispersion_level else None, rng_seed=args.seed)
+            for scenario in args.scenario
+            for n in args.n
+        ]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     rows = []
-    for scenario in scenarios:
-        level = args.dispersion if scenario.has_dispersion_level else None
-        for n in sizes:
-            try:
-                cfg = ScenarioConfig(scenario, n, level, rng_seed=args.seed)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            for family, kind in combos:
-                for method in methods:
-                    reps = args.replications_split if method is Method.SPLIT else args.replications_full
-                    report = run_coverage(
-                        cfg, ModelSpec(family), kind, method, args.alpha, reps, workers=args.workers
-                    )
-                    rows.append(
-                        _results_row(scenario.value, family.value, kind.value, method.value, n, args.alpha, report)
-                    )
+    for cfg in cells:
+        for family, kind in combos:
+            for method in args.method:
+                reps = args.replications_split if method is Method.SPLIT else args.replications_full
+                report = run_coverage(cfg, ModelSpec(family), kind, method, args.alpha, reps, workers=args.workers)
+                rows.append(
+                    _results_row(cfg.scenario.value, family.value, kind.value, method.value, cfg.n, args.alpha, report)
+                )
     meta = {
         "replications-split": args.replications_split,
         "replications-full": args.replications_full,
@@ -502,13 +499,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     combos = _battery(args.model, args.score)
-    methods = _parse_list(args.method, _member(Method), "method")
-    rescale = tuple(args.rescale) if args.rescale else None
     path = args.input if args.input else bodyfat_path()
-    data = load_csv(path, rescale)
+    data = load_csv(path, args.rescale)
     n_test = max(1, round(args.test_fraction * data.n))
     n_cons = data.n - n_test
-    for method in methods:
+    for method in args.method:
         # split CP fits its training half, full CP and the bootstrap every construction row
         rows = n_cons - n_cons // 2 if method is Method.SPLIT else n_cons
         if rows < data.p + 2:
@@ -532,7 +527,7 @@ def _cmd_analyze(args) -> int:
         X_test, y_test = data.X[test_idx], data.y[test_idx]
         split_seed = int(rng.integers(0, 2**63 - 1))
 
-        for method in methods:
+        for method in args.method:
             if method is Method.BOOTSTRAP:  # one interval per family: it uses no score
                 pairs = [(fam, None) for fam in dict.fromkeys(fam for fam, _ in combos)]
             else:
@@ -607,6 +602,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "rescale", None) and not args.rescale[0] < args.rescale[1]:
+            parser.error("--rescale needs a < b")
         handler = {
             "fit": _cmd_fit,
             "predict": _cmd_predict,

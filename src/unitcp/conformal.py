@@ -441,9 +441,9 @@ def full_cp(
 ) -> PredictionInterval:
     """Full conformal prediction interval for one new covariate vector.
 
+    The score kind and ``x_new`` are checked before anything is fitted.
     When k = ceil((1 - alpha)(n + 1)) exceeds n, every candidate is in the
-    set: the result is (0, 1), as in split CP, and nothing is fitted; the
-    score kind and ``x_new`` are still checked.
+    set: the result is (0, 1), as in split CP, and nothing is fitted.
     Otherwise the beta families are searched in y on (0, 1) to
     ``cfg.tolerance`` around the fitted mean, and the transform families in
     logit on (-LOGIT_LIMIT, LOGIT_LIMIT) to ``cfg.grid_step`` around the
@@ -460,16 +460,16 @@ def full_cp(
     nearest candidates already fitted for this interval, when the
     candidate lies between them or beyond the nearer by at most their
     spacing, and otherwise from the nearest one (the first from the base
-    fit).  Late probes of an edge lie within a few resolutions of fitted
-    candidates, so their refits start almost converged.  All refits of the
-    call share one candidate workspace (see :func:`_margin`), which is
-    dropped when the call returns.
+    fit).  A refit that does not converge from an interpolated or
+    neighbour's start is retried once from the base fit.  Late probes of an
+    edge lie within a few resolutions of fitted candidates, so their refits
+    start almost converged.  All refits of the call share one candidate
+    workspace (see :func:`_margin`), which is dropped when the call returns.
     """
-    x_new = np.asarray(x_new, dtype=float)
+    _check_kind(kind, spec.family)
+    x_new = _checked_row(x_new, data.p)
     level = 1.0 - cfg.alpha
     if _conformal_rank(cfg.alpha, data.n) > data.n:
-        _check_kind(kind, spec.family)
-        _checked_row(x_new, data.p)
         return PredictionInterval(0.0, 1.0, level)
     base = _base_fit(data, spec)
     if not base.converged:
@@ -491,7 +491,13 @@ def full_cp(
     ws = _Likelihood(data, spec.family, x_new)
 
     def margin(y: float) -> float:
-        refit = _margin(y, ws, kind, cfg.alpha, start(y))
+        init = start(y)
+        try:
+            refit = _margin(y, ws, kind, cfg.alpha, init)
+        except NonConvergence:
+            if init is base.params:
+                raise
+            refit = _margin(y, ws, kind, cfg.alpha, base.params)
         fitted.append((y, refit.params))
         return refit.margin
 

@@ -401,22 +401,6 @@ class _Likelihood:
         H[k:, k:] = blocks[k + kd :, :kd]
         return H / self.n
 
-    # single-purpose entry points, for loglik and for tests
-    def objective(self, x: np.ndarray) -> float:
-        """Mean negative log-likelihood at a single parameter vector."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return self.evaluate(x)[0]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Analytic gradient of the mean negative log-likelihood."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return self.gradient_from(self.evaluate(x)[1])
-
-    def hessian(self, x: np.ndarray, expected: bool = False) -> np.ndarray:
-        """Analytic Hessian (or, with ``expected``, the Fisher information)."""
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return self.hessian_from(self.evaluate(x)[1], expected)
-
 
 def loglik(data: Dataset, spec: ModelSpec, params) -> float:
     """Model log-likelihood at a packed parameter vector.
@@ -428,7 +412,9 @@ def loglik(data: Dataset, spec: ModelSpec, params) -> float:
     :meth:`_Likelihood.evaluate`'s objective, the one a fit minimizes.
     """
     _split_params(params, data.p, spec.family)  # validates the layout
-    return -data.n * _Likelihood(data, spec.family).objective(np.asarray(params, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = _Likelihood(data, spec.family).evaluate(np.asarray(params, dtype=float))[0]
+    return -data.n * f
 
 
 def _relative_gradient(g: np.ndarray, x: np.ndarray, f: float) -> float:

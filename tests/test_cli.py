@@ -237,6 +237,11 @@ _SMALL_RUN = {
     pytest.param(["simulate", "--method", "full", "--replications-full", "0"], id="simulate-replications-full"),
     pytest.param(["simulate", "--workers", "0"], id="simulate-workers"),
     pytest.param(["analyze", "--seeds", "0"], id="analyze-seeds"),
+    pytest.param(["simulate", "--n", "30,0"], id="simulate-later-n"),
+    pytest.param(["simulate", "--scenario", "s2,s1", "--dispersion", "0.7"], id="simulate-later-dispersion"),
+    pytest.param(["fit", "--model", "m1", "--rescale", "1", "0"], id="fit-rescale"),
+    pytest.param(["predict", "--model", "m1", "--rescale", "1", "0"], id="predict-rescale"),
+    pytest.param(["analyze", "--rescale", "1", "0"], id="analyze-rescale"),
 ])
 def test_bad_option_values_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch, argv):
     """A bad value or name exits 1 before data are read or any interval is built."""
@@ -277,11 +282,11 @@ def test_bad_names_list_the_choices(tmp_path, capsys, argv, message):
 
 
 def test_names_match_value_or_member_name_in_any_case():
-    assert cli._member(ModelFamily)(" Transform_Hetero ") is ModelFamily.TRANSFORM_HETERO
-    assert cli._member(ModelFamily)("M3") is ModelFamily.BETA_MEAN
-    assert cli._member(Scenario)("beta_mean_disp") is Scenario.BETA_MEAN_DISP
-    assert cli._member(ScoreKind)("Pearson") is ScoreKind.PEARSON
-    assert cli._member(Method)("FULL") is Method.FULL
+    assert cli._member(ModelFamily, "model")(" Transform_Hetero ") is ModelFamily.TRANSFORM_HETERO
+    assert cli._member(ModelFamily, "model")("M3") is ModelFamily.BETA_MEAN
+    assert cli._member(Scenario, "scenario")("beta_mean_disp") is Scenario.BETA_MEAN_DISP
+    assert cli._member(ScoreKind, "score")("Pearson") is ScoreKind.PEARSON
+    assert cli._member(Method, "method")("FULL") is Method.FULL
 
 
 @pytest.mark.parametrize("values", [

@@ -36,6 +36,7 @@ from unitcp.conformal import _invert_split, _search, _split_fit
 from unitcp.datasets import bodyfat_path
 from unitcp.models import _Likelihood, fit
 from unitcp.scores import beta_sd
+from unitcp.simlab import ScenarioConfig, gen_covariates, gen_response
 
 from conftest import make_scenario_data
 from test_models import M1, M2, M3, M4, make_model
@@ -285,6 +286,26 @@ def test_full_cp_is_the_unit_interval_before_any_fit_when_k_exceeds_n(monkeypatc
     assert calls == []
 
 
+@pytest.mark.parametrize("spec,scenario,disp", [
+    (M1, Scenario.TRANSFORM_HOMO, 0.63),
+    (M2, Scenario.TRANSFORM_HETERO, None),
+    (M3, Scenario.BETA_MEAN, 10.0),
+    (M4, Scenario.BETA_MEAN_DISP, None),
+])
+def test_full_cp_checks_its_inputs_before_the_base_fit(monkeypatch, spec, scenario, disp):
+    # with n = 40, k <= n: a bad x_new or score kind must fail before any fit,
+    # so no base fit is made (and kept on the dataset) for a call that raises
+    data, x_new, _ = make_scenario_data(scenario, 40, disp, seed=51)
+    calls = []
+    real_fit = conformal.fit
+    monkeypatch.setattr(conformal, "fit", lambda *a, **k: calls.append(1) or real_fit(*a, **k))
+    good, bad = (ScoreKind.RAW, ScoreKind.PEARSON) if spec is M1 else (ScoreKind.PEARSON, ScoreKind.RAW)
+    for x, kind in ((x_new[:-1], good), (np.append(x_new[:-1], np.nan), good), (x_new, bad)):
+        with pytest.raises(ValueError):
+            full_cp(data, x, spec, kind, FullConfig(0.1))
+    assert calls == []
+
+
 def test_full_cp_matches_exhaustive_grid_small():
     data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 30, 10.0, seed=36)
     iv = full_cp(data, x_new, M3, ScoreKind.QUANTILE, FullConfig(0.1))
@@ -402,6 +423,24 @@ def test_full_cp_edges_are_certified(spec, scenario, disp, kind):
                 out = float(expit(logit(end) + side * cfg.grid_step))
             assert indicator(end, data, x_new, spec, kind, cfg.alpha)
             assert not indicator(out, data, x_new, spec, kind, cfg.alpha)
+
+
+@pytest.mark.parametrize("rep", [66, 108, 127])
+def test_full_cp_retries_a_failed_refit_from_the_base_fit(rep):
+    # s4 at n = 20, drawn as run_coverage's first attempt at replication rep:
+    # one refit from its warm start does not converge, and its retry from
+    # the base fit does; the finite edges are certified by cold fits
+    cfg, spec, kind, tol = ScenarioConfig(Scenario.BETA_MEAN_DISP, 20), M4, ScoreKind.QUANTILE, FullConfig.tolerance
+    rng = np.random.default_rng([cfg.rng_seed, rep])
+    X = gen_covariates(cfg.n + 1, rng)
+    y = gen_response(cfg, X, rng)
+    data, x_new = Dataset(y[:-1], X[:-1]), X[-1]
+    iv = full_cp(data, x_new, spec, kind, FullConfig(0.1))
+    assert not iv.empty
+    for end, side in ((iv.lower, -1.0), (iv.upper, 1.0)):
+        assert indicator(end, data, x_new, spec, kind, 0.1)
+        if 0.0 < end + side * tol < 1.0:
+            assert not indicator(end + side * tol, data, x_new, spec, kind, 0.1)
 
 
 @pytest.mark.parametrize("spec,scenario,disp,kind", CERTIFIED_CASES)

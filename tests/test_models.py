@@ -154,10 +154,25 @@ def test_m3_recovers_truth():
     assert np.all(m.disp_coef == 0.0)
 
 
+def _objective_and_gradient(lik):
+    """The mean negative log-likelihood and its analytic gradient, as
+    functions of one parameter vector, from ``lik``'s derivative pass."""
+
+    def objective(x):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return lik.evaluate(x)[0]
+
+    def gradient(x):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return lik.gradient_from(lik.evaluate(x)[1])
+
+    return objective, gradient
+
+
 def _bfgs_reference(data, spec, start):
     """A general-purpose optimizer's answer, independent of the package's fit."""
-    lik = _Likelihood(data, spec.family)
-    res = scipy.optimize.minimize(lik.objective, start, jac=lik.gradient, method="BFGS",
+    objective, gradient = _objective_and_gradient(_Likelihood(data, spec.family))
+    res = scipy.optimize.minimize(objective, start, jac=gradient, method="BFGS",
                                   options={"gtol": 1e-10, "maxiter": 5000})
     return res.x
 
@@ -303,19 +318,19 @@ def test_stored_loglik_matches_reevaluation():
 def test_optimizer_gradient_matches_central_differences(spec, scenario, disp):
     """Analytic gradient against a central-difference oracle, 1e-5 relative."""
     data, _, _ = make_scenario_data(scenario, 120, disp, seed=9)
-    lik = _Likelihood(data, spec.family)
+    objective, gradient = _objective_and_gradient(_Likelihood(data, spec.family))
     dim = data.p + 2 + (data.p if spec.family.models_dispersion else 0)
     rng = np.random.default_rng(31)
     for _ in range(10):
         x = rng.normal(0.0, 0.4, dim)
-        g = lik.gradient(x)
+        g = gradient(x)
         oracle = np.empty(dim)
         for i in range(dim):
             h = 1e-6 * max(1.0, abs(x[i]))
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            oracle[i] = (lik.objective(xp) - lik.objective(xm)) / (2.0 * h)
+            oracle[i] = (objective(xp) - objective(xm)) / (2.0 * h)
         denom = np.maximum(np.abs(oracle), 1e-6)
         assert np.max(np.abs(g - oracle) / denom) < 1e-5
 
@@ -330,21 +345,22 @@ def test_hessian_matches_central_differences(spec, scenario, disp):
     1e-5 relative; the expected information is positive definite."""
     data, _, _ = make_scenario_data(scenario, 120, disp, seed=9)
     lik = _Likelihood(data, spec.family)
+    _, gradient = _objective_and_gradient(lik)
     dim = data.p + 2 + (data.p if spec.family.models_dispersion else 0)
     rng = np.random.default_rng(32)
     for _ in range(10):
         x = rng.normal(0.0, 0.4, dim)
-        H = lik.hessian(x)
+        rows = lik.evaluate(x)[1]
         oracle = np.empty((dim, dim))
         for j in range(dim):
             h = 1e-6 * max(1.0, abs(x[j]))
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            oracle[:, j] = (lik.gradient(xp) - lik.gradient(xm)) / (2.0 * h)
+            oracle[:, j] = (gradient(xp) - gradient(xm)) / (2.0 * h)
         denom = np.maximum(np.abs(oracle), 1e-6)
-        assert np.max(np.abs(H - oracle) / denom) < 1e-5
-        assert np.min(np.linalg.eigvalsh(lik.hessian(x, expected=True))) > 0.0
+        assert np.max(np.abs(lik.hessian_from(rows) - oracle) / denom) < 1e-5
+        assert np.min(np.linalg.eigvalsh(lik.hessian_from(rows, expected=True))) > 0.0
 
 
 @pytest.mark.parametrize("spec,scenario,disp", [
