@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conformal import FullConfig, SplitConfig, full_cp, split_cp_batch
+from .conformal import FullConfig, SplitConfig, _calibration_size, full_cp, split_cp_batch
 from .datasets import bodyfat_path
 from .models import Dataset, FitError, ModelFamily, ModelSpec, fit
 from .scores import ScoreKind
@@ -505,7 +505,7 @@ def _cmd_analyze(args) -> int:
     n_cons = data.n - n_test
     for method in args.method:
         # split CP fits its training half, full CP and the bootstrap every construction row
-        rows = n_cons - n_cons // 2 if method is Method.SPLIT else n_cons
+        rows = n_cons - _calibration_size(n_cons) if method is Method.SPLIT else n_cons
         if rows < data.p + 2:
             raise UsageError(
                 f"--test-fraction {args.test_fraction} leaves {n_cons} construction rows; {method.value} "

@@ -124,6 +124,12 @@ class SplitConfig:
             raise ValueError("alpha must lie in (0, 1)")
 
 
+def _calibration_size(n: int) -> int:
+    """How many of n points split CP calibrates on, as :class:`SplitConfig`
+    states; the rest train the model."""
+    return min(max(n // 2, 1), n - 1)
+
+
 @dataclass(frozen=True)
 class FullConfig:
     """Settings for full conformal prediction.
@@ -150,7 +156,7 @@ def conformal_quantile(scores, alpha: float) -> float:
     Returns +inf when that rank exceeds m, in which case the interval
     degenerates to the full candidate range.  Ties keep all copies.
     """
-    s = np.sort(np.asarray(scores, dtype=float))
+    s = np.asarray(scores, dtype=float)
     m = len(s)
     if m == 0:
         raise ValueError("need at least one calibration score")
@@ -159,7 +165,7 @@ def conformal_quantile(scores, alpha: float) -> float:
     k = _conformal_rank(alpha, m)
     if k > m:
         return float("inf")
-    return float(s[k - 1])
+    return float(np.partition(s, k - 1)[k - 1])
 
 
 def _conformal_rank(alpha: float, m: int) -> int:
@@ -180,7 +186,7 @@ def _conformal_rank(alpha: float, m: int) -> int:
 def _split_fit(data: Dataset, spec: ModelSpec, kind: ScoreKind, cfg: SplitConfig):
     """Fit on the training half and return (model, conformal quantile)."""
     n = data.n
-    n_cal = min(max(n // 2, 1), n - 1)
+    n_cal = _calibration_size(n)
     perm = np.random.default_rng(cfg.rng_seed).permutation(n)
     cal_idx, train_idx = perm[:n_cal], perm[n_cal:]
     model = fit(Dataset(data.y[train_idx], data.X[train_idx]), spec)
@@ -223,10 +229,11 @@ def split_cp_batch(
     """Split intervals for several covariate vectors from a single fit.
 
     Identical to calling :func:`split_cp` per row (the split and the fit
-    depend only on the data and config), just without refitting.
+    depend only on the data and config), just without refitting.  Every
+    row is checked, as :func:`full_cp` checks its ``x_new``, before the fit.
     """
+    X_new = [_checked_row(x, data.p) for x in np.atleast_2d(np.asarray(X_new, dtype=float))]
     model, q = _split_fit(data, spec, kind, cfg)
-    X_new = np.atleast_2d(np.asarray(X_new, dtype=float))
     return [_invert_split(model, kind, q, x, 1.0 - cfg.alpha) for x in X_new]
 
 
@@ -250,10 +257,11 @@ def _margin(y: float, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None)
     written into that row, the family is refitted on the workspace, and
     the n + 1 scores are taken from the fitted values of the refit's last
     derivative pass; the refit starts from the parameter vector ``init``,
-    or cold without it.  The margin is the candidate's score minus the k-th
-    smallest score of the other n points, with k = ceil((1 - alpha)(n + 1)).
-    The candidate is in the conformal set exactly when the margin is <= 0;
-    the margin is -inf when k > n, where every candidate is.  Measured
+    or cold without it.  The margin is the candidate's score minus the
+    :func:`conformal_quantile` of the other n scores, their k-th smallest
+    with k = ceil((1 - alpha)(n + 1)).  The candidate is in the conformal
+    set exactly when the margin is <= 0; the margin is -inf when k > n,
+    where the quantile is +inf and every candidate is in the set.  Measured
     against the k-th of all n + 1 scores instead, it would be 0 across a
     whole range of y and give a root finder no slope.  A fit that fails to
     converge raises rather than silently excluding the candidate.
@@ -264,11 +272,7 @@ def _margin(y: float, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None)
         raise NonConvergence(f"augmented fit did not converge at candidate {ws.y[-1]:.6g}")
     response = ws.y if ws.family.is_beta else ws.z
     all_scores = _score_fitted(kind, ws.family, response, fitted[0], fitted[1])
-    n = ws.n - 1
-    k = _conformal_rank(alpha, n)
-    if k > n:
-        return _Refit(-math.inf, params, iterations)
-    margin = float(all_scores[-1] - np.partition(all_scores[:-1], k - 1)[k - 1])
+    margin = float(all_scores[-1] - conformal_quantile(all_scores[:-1], alpha))
     return _Refit(margin, params, iterations)
 
 
@@ -474,11 +478,12 @@ def full_cp(
     base = _base_fit(data, spec)
     if not base.converged:
         raise NonConvergence("base fit did not converge")
+    base_params = base.params  # a property that packs a new array on each access
     fitted: list[tuple[float, np.ndarray]] = []  # (candidate, refit parameters)
 
     def start(y: float) -> np.ndarray:
         if not fitted:
-            return base.params
+            return base_params
         near = sorted(fitted, key=lambda c: abs(c[0] - y))
         y1, p1 = near[0]
         if len(near) > 1 and near[1][0] != y1:
@@ -495,9 +500,9 @@ def full_cp(
         try:
             refit = _margin(y, ws, kind, cfg.alpha, init)
         except NonConvergence:
-            if init is base.params:
+            if init is base_params:
                 raise
-            refit = _margin(y, ws, kind, cfg.alpha, base.params)
+            refit = _margin(y, ws, kind, cfg.alpha, base_params)
         fitted.append((y, refit.params))
         return refit.margin
 

@@ -99,7 +99,7 @@ def _checked_row(x_new, p: int) -> np.ndarray:
     if x_new.shape != (p,):
         raise ValueError(f"expected a covariate vector of length {p}, got {x_new.size}")
     if not np.all(np.isfinite(x_new)):
-        raise ValueError("appended observation contains non-finite entries")
+        raise ValueError("covariate row contains non-finite entries")
     return x_new
 
 
@@ -143,25 +143,13 @@ class Dataset:
         return self.X.shape[1]
 
     def augmented(self, y_new: float, x_new: np.ndarray) -> "Dataset":
-        """Return a copy with one extra observation appended.
+        """Return a new dataset with one extra observation appended.
 
-        Only the appended row is validated; the others already were.  The
-        memo of base fits starts empty.  Full conformal prediction does not
-        copy: its refits rewrite the last row of one workspace
-        (``_Likelihood`` with ``x_new``), which gives the same fits as a
-        fit of this copy.
+        Full conformal prediction does not copy: its refits rewrite the
+        last row of one workspace (``_Likelihood`` with ``x_new``), which
+        gives the same fits as a fit of this copy.
         """
-        y_new = float(y_new)
-        x_new = _checked_row(x_new, self.p)
-        if not np.isfinite(y_new):
-            raise ValueError("appended observation contains non-finite entries")
-        if not 0.0 < y_new < 1.0:
-            raise ValueError("responses must lie strictly in (0, 1)")
-        aug = object.__new__(Dataset)
-        object.__setattr__(aug, "y", _read_only(np.append(self.y, y_new)))
-        object.__setattr__(aug, "X", _read_only(np.vstack([self.X, x_new])))
-        object.__setattr__(aug, "_base_fits", {})
-        return aug
+        return Dataset(np.append(self.y, float(y_new)), np.vstack([self.X, _checked_row(x_new, self.p)]))
 
 
 @dataclass(frozen=True)
@@ -495,11 +483,7 @@ def _ols_logit(lik: _Likelihood):
 
 
 def _initial_params(lik: _Likelihood) -> np.ndarray:
-    """Cold start: moments of the OLS fit of logit(y), or for m4 the m3 fit.
-
-    Either way an OLS fit of the design runs first and raises
-    :class:`SingularDesign` for a rank-deficient one.
-    """
+    """Cold start: moments of the OLS fit of logit(y), or for m4 the m3 fit."""
     p = lik.k - 1
     if lik.family is ModelFamily.BETA_MEAN_DISP:
         m3 = copy.copy(lik)  # the same rows, sharing every array
@@ -524,26 +508,22 @@ def _solve(lik: _Likelihood, init=None):
     m1 is solved in closed form, and its objective and fitted values
     (linear predictor, sigma) come from the OLS fit itself.  The others run
     :func:`_newton` from the parameter vector ``init`` or, without it, a
-    cold start.  Every fit checks the design's rank: a cold start with its
-    OLS fit, a warm start with :meth:`_Likelihood.pinv`, whose SVD is made
-    once per workspace, so the refits of one full-conformal interval share
-    it.  The whole fit runs
+    cold start.  Every fit first checks the design's rank with
+    :meth:`_Likelihood.pinv`, whose SVD is made once per workspace, so the
+    refits of one full-conformal interval share it.  The fit itself runs
     under one ``np.errstate``.  Returns (params, objective, converged,
     iterations, fitted values of the final derivative pass).
     """
     if lik.n < lik.k + 1:
         raise FitError(f"need at least p + 2 = {lik.k + 1} observations, got {lik.n}")
+    lik.pinv()  # raises SingularDesign for a rank-deficient design
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if lik.family is ModelFamily.TRANSFORM_HOMO:
             coef, lin, resid, sigma2 = _ols_logit(lik)
             log_sigma = 0.5 * np.log(sigma2)
             f = 0.5 * LOG_2PI + log_sigma + 0.5 * float(resid @ resid) / (lik.n * sigma2)
             return np.concatenate([coef, [log_sigma]]), float(f), True, 0, _link(lik.family, lin, log_sigma)
-        if init is None:
-            x0 = _initial_params(lik)
-        else:
-            lik.pinv()  # raises SingularDesign for a rank-deficient design
-            x0 = np.asarray(init, dtype=float)
+        x0 = _initial_params(lik) if init is None else np.asarray(init, dtype=float)
         _split_params(x0, lik.k - 1, lik.family)  # validates the layout
         return _newton(lik, x0)
 

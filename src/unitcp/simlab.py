@@ -30,6 +30,7 @@ from .models import (
     ModelFamily,
     ModelSpec,
     NonConvergence,
+    _checked_row,
     fit,
 )
 from .numeric import EPS, expit
@@ -143,12 +144,6 @@ class CoverageReport:
     failures_replaced: int
 
 
-def _rng_from(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 def _correlation_cholesky() -> np.ndarray:
     corr = np.full((N_COVARIATES, N_COVARIATES), COV_CORRELATION)
     np.fill_diagonal(corr, 1.0)
@@ -165,8 +160,7 @@ def gen_covariates(n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rng = _rng_from(seed)
-    return rng.standard_normal((n, N_COVARIATES)) @ _CHOL.T
+    return np.random.default_rng(seed).standard_normal((n, N_COVARIATES)) @ _CHOL.T
 
 
 def gen_response(cfg: ScenarioConfig, X: np.ndarray, rng=None) -> np.ndarray:
@@ -179,16 +173,16 @@ def gen_response(cfg: ScenarioConfig, X: np.ndarray, rng=None) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != N_COVARIATES:
         raise ValueError(f"X must have {N_COVARIATES} columns")
-    rng = _rng_from([cfg.rng_seed, 1] if rng is None else rng)
+    rng = np.random.default_rng([cfg.rng_seed, 1] if rng is None else rng)
     sc = cfg.scenario
     if sc is Scenario.TRANSFORM_HOMO or sc is Scenario.TRANSFORM_HETERO:
         coef = cfg.mean_coef
         lin = coef[0] + X @ coef[1:]
         if sc is Scenario.TRANSFORM_HOMO:
-            y = expit(lin + rng.normal(0.0, cfg.dispersion_level, len(X)))
+            sd = cfg.dispersion_level
         else:
             sd = np.exp(DISP_COEF_TRANSFORM[0] + X @ DISP_COEF_TRANSFORM[1:])
-            y = expit(lin + rng.normal(0.0, 1.0, len(X)) * sd)
+        y = expit(lin + rng.normal(0.0, sd, len(X)))
     else:
         mu, phi = scenario_mu(cfg, X), scenario_phi(cfg, X)
         y = rng.beta(mu * phi, (1.0 - mu) * phi)
@@ -321,14 +315,15 @@ def bootstrap_interval(
     from each refitted predictive distribution at ``x_new``, and returns
     the central (alpha/2, 1 - alpha/2) percentile interval of the draws.
     A failed refit is retried with a fresh resample up to three times
-    before the error propagates.
+    before the error propagates.  ``x_new`` is checked, as :func:`full_cp`
+    checks it, before the first fit.
     """
     if B < 100:
         raise ValueError("need at least 100 bootstrap replicates")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    rng = _rng_from(seed)
-    x_new = np.asarray(x_new, dtype=float)
+    rng = np.random.default_rng(seed)
+    x_new = _checked_row(x_new, data.p)
     base = fit(data, spec)
     warm = base.params if base.converged else None
     draws = np.empty(B)

@@ -20,6 +20,7 @@ from unitcp import (
     SingularDesign,
     SplitConfig,
     beta_quantile,
+    bootstrap_interval,
     conformal_quantile,
     expit,
     full_cp,
@@ -30,7 +31,7 @@ from unitcp import (
     split_cp,
     split_cp_batch,
 )
-from unitcp import conformal
+from unitcp import conformal, simlab
 from unitcp.cli import ANALYSIS_BATTERY, load_csv
 from unitcp.conformal import _invert_split, _search, _split_fit
 from unitcp.datasets import bodyfat_path
@@ -306,6 +307,28 @@ def test_full_cp_checks_its_inputs_before_the_base_fit(monkeypatch, spec, scenar
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "bad", ([math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0], [-math.inf, 0.0, 0.0], [0.0, 0.0]),
+    ids=("nan", "inf", "-inf", "short"),
+)
+def test_split_cp_and_the_bootstrap_check_new_rows_before_any_fit(monkeypatch, bad):
+    # a non-finite row would give a wrong interval, so it must fail as in full CP
+    data, _, _ = make_scenario_data(Scenario.BETA_MEAN, 60, 10.0, seed=53)
+    calls = []
+    for module in (conformal, simlab):
+        real_fit = module.fit
+        monkeypatch.setattr(module, "fit", lambda *a, real_fit=real_fit, **k: calls.append(1) or real_fit(*a, **k))
+    cfg = SplitConfig(0.1)
+    for spec, kind in ((M1, ScoreKind.RAW), (M3, ScoreKind.PEARSON), (M3, ScoreKind.QUANTILE)):
+        with pytest.raises(ValueError):
+            split_cp(data, bad, spec, kind, cfg)
+        with pytest.raises(ValueError):
+            split_cp_batch(data, [np.zeros(len(bad)), bad], spec, kind, cfg)
+    with pytest.raises(ValueError):
+        bootstrap_interval(data, bad, M3, 0.1, 100, seed=0)
+    assert calls == []
+
+
 def test_full_cp_matches_exhaustive_grid_small():
     data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 30, 10.0, seed=36)
     iv = full_cp(data, x_new, M3, ScoreKind.QUANTILE, FullConfig(0.1))
@@ -441,6 +464,21 @@ def test_full_cp_retries_a_failed_refit_from_the_base_fit(rep):
         assert indicator(end, data, x_new, spec, kind, 0.1)
         if 0.0 < end + side * tol < 1.0:
             assert not indicator(end + side * tol, data, x_new, spec, kind, 0.1)
+
+
+def test_full_cp_does_not_retry_a_refit_that_started_from_the_base_fit(monkeypatch):
+    # the first refit starts from the base fit, so its failure is final
+    data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
+    calls = []
+
+    def failing_margin(y, ws, kind, alpha, init=None):
+        calls.append(init)
+        raise NonConvergence("refit did not converge")
+
+    monkeypatch.setattr(conformal, "_margin", failing_margin)
+    with pytest.raises(NonConvergence):
+        full_cp(data, x_new, M3, ScoreKind.QUANTILE, FullConfig(0.1))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("spec,scenario,disp,kind", CERTIFIED_CASES)

@@ -20,7 +20,9 @@ from unitcp import (
     union_intersection,
 )
 from unitcp import simlab
+from unitcp.numeric import EPS
 from unitcp.simlab import (
+    DISP_COEF_TRANSFORM,
     MEAN_COEF_CONSERVATIVE,
     MEAN_COEF_STANDARD,
     scenario_phi,
@@ -46,6 +48,13 @@ def test_covariates_match_target_moments():
 def test_covariates_deterministic():
     assert np.array_equal(gen_covariates(50, seed=9), gen_covariates(50, seed=9))
     assert not np.array_equal(gen_covariates(50, seed=9), gen_covariates(50, seed=10))
+
+
+def test_covariates_consume_a_generator_in_place():
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    assert np.array_equal(gen_covariates(20, rng), gen_covariates(20, seed=3))
+    twin.standard_normal((20, 3))
+    assert rng.random() == twin.random()
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +120,22 @@ def test_precision_range_under_covariate_dependent_dispersion():
     frac_3sigma = np.mean((phi >= 2.1) & (phi <= 19.3))
     assert abs(frac_3sigma - 0.9973) < 0.002
     assert np.mean((phi >= 1.5) & (phi <= 25.0)) > 0.9995
+
+
+@pytest.mark.parametrize("scenario,disp", [
+    (Scenario.TRANSFORM_HOMO, 0.63),
+    (Scenario.TRANSFORM_HOMO, 1.5),
+    (Scenario.TRANSFORM_HETERO, None),
+])
+def test_transform_responses_are_one_normal_draw_per_row(scenario, disp):
+    # pins the random stream behind every simulate result of s1 and s2
+    cfg = ScenarioConfig(scenario, 50, disp, rng_seed=12)
+    X = gen_covariates(50, seed=12)
+    coef = cfg.mean_coef
+    lin = coef[0] + X @ coef[1:]
+    sd = disp if disp is not None else np.exp(DISP_COEF_TRANSFORM[0] + X @ DISP_COEF_TRANSFORM[1:])
+    z = np.random.default_rng([cfg.rng_seed, 1]).standard_normal(50)
+    assert np.array_equal(gen_response(cfg, X), np.clip(expit(lin + sd * z), EPS, 1.0 - EPS))
 
 
 def test_response_determinism():
