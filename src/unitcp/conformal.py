@@ -19,9 +19,17 @@ The refits of an interval share one candidate workspace, built and
 validated once: the design of the n rows plus the new covariate row,
 with the response transforms, of which each candidate rewrites only its
 own row.  A refit is one fit of that workspace, and the n + 1 scores come
-from the fitted values of its last derivative pass.  Every refit starts
-from the parameters of the candidates already fitted for the interval,
-interpolated between the two nearest (the base fit for the first).
+from the fitted values of its last derivative pass.  The search's first
+point and three contiguity probes are refitted first, together, in one
+batched Newton solve from the base fit.  The probes lie at fixed fractions
+of the ranges outside the interval the base fit predicts, never below the
+resolution or above 1 minus it; one that the returned interval covers is
+moved to the same fraction outside the returned interval and refitted
+there, and one whose refit in the batch does not converge is refitted
+alone at its place.  A probe only warns: when it is included, or when its
+fit fails.
+Every later refit starts from the parameters of the candidates already
+fitted for the interval, interpolated between the two nearest.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .models import (
     Dataset,
     FitError,
     FittedModel,
+    ModelFamily,
     ModelSpec,
     NonConvergence,
     _checked_row,
@@ -44,7 +53,7 @@ from .models import (
     _solve,
     fit,
 )
-from .numeric import BetaParams, beta_quantile, expit, norm_cdf
+from .numeric import BetaParams, _log_odds, beta_quantile, expit, norm_cdf
 from .scores import CDF_CLIP, ScoreKind, _check_kind, _score_fitted, beta_sd, score
 
 __all__ = [
@@ -150,14 +159,16 @@ class FullConfig:
             raise ValueError("alpha must lie in (0, 1)")
 
 
-def conformal_quantile(scores, alpha: float) -> float:
+def conformal_quantile(scores, alpha: float):
     """The ceil((1 - alpha) (m + 1))-th smallest of m calibration scores.
 
     Returns +inf when that rank exceeds m, in which case the interval
-    degenerates to the full candidate range.  Ties keep all copies.
+    degenerates to the full candidate range.  Ties keep all copies.  A
+    stack of score sets (the last axis holds the m scores) gives one
+    quantile per set.
     """
     s = np.asarray(scores, dtype=float)
-    m = len(s)
+    m = s.shape[-1]
     if m == 0:
         raise ValueError("need at least one calibration score")
     if not 0.0 < alpha < 1.0:
@@ -165,7 +176,8 @@ def conformal_quantile(scores, alpha: float) -> float:
     k = _conformal_rank(alpha, m)
     if k > m:
         return float("inf")
-    return float(np.partition(s, k - 1)[k - 1])
+    q = np.partition(s, k - 1, axis=-1)[..., k - 1]
+    return float(q) if s.ndim == 1 else q
 
 
 def _conformal_rank(alpha: float, m: int) -> int:
@@ -242,38 +254,59 @@ def split_cp_batch(
 
 
 class _Refit(NamedTuple):
-    """One candidate's inclusion margin and the refit behind it."""
+    """One candidate's inclusion margin and the refit behind it; the margin
+    is nan when the refit did not converge."""
 
     margin: float
     params: np.ndarray
     iterations: int
+    converged: bool
 
 
-def _margin(y: float, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> _Refit:
-    """Signed inclusion margin of one candidate response, and its refit.
+def _margins(ys, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> list[_Refit]:
+    """Signed inclusion margins of a batch of candidate responses, and their refits.
 
     ``ws`` is a candidate workspace, ``_Likelihood(data, family, x_new)``:
-    the n rows of the data plus the row of ``x_new``.  The candidate y is
-    written into that row, the family is refitted on the workspace, and
-    the n + 1 scores are taken from the fitted values of the refit's last
-    derivative pass; the refit starts from the parameter vector ``init``,
-    or cold without it.  The margin is the candidate's score minus the
+    the n rows of the data plus the row of ``x_new``.  Each candidate y is
+    written into that row of its own batch member, the family is refitted
+    for every member in one batched solve, and each member's n + 1 scores
+    are taken from the fitted values of its last derivative pass; every
+    refit starts from the parameter vector ``init``, or cold without it.
+    A member's margin is the candidate's score minus the
     :func:`conformal_quantile` of the other n scores, their k-th smallest
     with k = ceil((1 - alpha)(n + 1)).  The candidate is in the conformal
     set exactly when the margin is <= 0; the margin is -inf when k > n,
     where the quantile is +inf and every candidate is in the set.  Measured
     against the k-th of all n + 1 scores instead, it would be 0 across a
-    whole range of y and give a root finder no slope.  A fit that fails to
-    converge raises rather than silently excluding the candidate.
+    whole range of y and give a root finder no slope.  A member whose fit
+    does not converge gets no scores: its refit reports ``converged`` False
+    and its margin is nan, and it leaves the other members' refits as they
+    would be alone.  An empty batch has no refits.
     """
-    ws.set_candidate(y)
-    params, _, converged, iterations, fitted = _solve(ws, init)
-    if not converged:
-        raise NonConvergence(f"augmented fit did not converge at candidate {ws.y[-1]:.6g}")
+    if not ys:
+        return []
+    ws.set_candidates(ys)
+    params, _, converged, iterations, mean, spread = _solve(ws, init)
+    ok = slice(None) if all(converged) else np.array(converged)
     response = ws.y if ws.family.is_beta else ws.z
-    all_scores = _score_fitted(kind, ws.family, response, fitted[0], fitted[1])
-    margin = float(all_scores[-1] - conformal_quantile(all_scores[:-1], alpha))
-    return _Refit(margin, params, iterations)
+    scores = _score_fitted(kind, ws.family, response[ok], mean[ok], spread[ok])
+    margins = np.empty(len(params))
+    margins.fill(math.nan)
+    margins[ok] = scores[:, -1] - conformal_quantile(scores[:, :-1], alpha)
+    return list(map(_Refit, margins.tolist(), params, iterations, converged))
+
+
+def _converged(refit: _Refit, y: float) -> _Refit:
+    """The refit, which must have converged: a fit that fails to converge
+    raises rather than silently excluding the candidate."""
+    if not refit.converged:
+        raise NonConvergence(f"augmented fit did not converge at candidate {y:.6g}")
+    return refit
+
+
+def _margin(y: float, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> _Refit:
+    """:func:`_margins` of the single candidate ``y``, which must converge."""
+    return _converged(_margins([y], ws, kind, alpha, init)[0], y)
 
 
 def indicator(
@@ -355,6 +388,13 @@ def _edge(margin, inside, outside, tol: float, prev=None) -> float:
     return a
 
 
+def _first_points(lo: float, hi: float, tol: float, guesses) -> list[float]:
+    """The points :func:`_search` evaluates first: the edge guesses, each moved
+    ``EDGE_AIM`` times ``tol`` inward, that lie at least tol/2 inside (lo, hi)."""
+    points = (guesses[0] + EDGE_AIM * tol, guesses[1] - EDGE_AIM * tol)
+    return [g for g in points if lo + 0.5 * tol <= g <= hi - 0.5 * tol]
+
+
 def _search(margin, centre, lo: float, hi: float, tol: float, guesses):
     """Inclusion region of ``margin`` within the range (lo, hi) of one coordinate.
 
@@ -375,9 +415,8 @@ def _search(margin, centre, lo: float, hi: float, tol: float, guesses):
     def found() -> bool:
         return any(m is not None and m <= 0.0 for m in known.values())
 
-    for g in (guesses[0] + EDGE_AIM * tol, guesses[1] - EDGE_AIM * tol):
-        if lo + 0.5 * tol <= g <= hi - 0.5 * tol:
-            known[g] = margin(g)
+    for g in _first_points(lo, hi, tol, guesses):
+        known[g] = margin(g)
     if not found() and centre[0] not in known:
         known[centre[0]] = margin(centre[0])
     while not found():
@@ -395,31 +434,56 @@ def _search(margin, centre, lo: float, hi: float, tol: float, guesses):
     return lower, upper
 
 
-def _contiguity_probes(interval: PredictionInterval, include, tol: float) -> None:
+def _probe_points(lower: float, upper: float, tol: float) -> list[float]:
+    """Where the three contiguity probes look outside (lower, upper): at
+    ``PROBE_FRACTIONS`` of the ranges (tol, lower - tol) and
+    (upper + tol, 1 - tol), taking the sides in turn, where a side is wider
+    than 10 tol.  None when neither is; never below tol or above 1 - tol."""
+    sides = []
+    if lower > 10.0 * tol:
+        sides.append((tol, lower - tol))
+    if upper < 1.0 - 10.0 * tol:
+        sides.append((upper + tol, 1.0 - tol))
+    if not sides:
+        return []
+    return [float(a + (b - a) * frac) for (a, b), frac in zip(sides * 3, PROBE_FRACTIONS)]
+
+
+def _contiguity_probes(interval: PredictionInterval, probed, margin, tol: float) -> None:
     """Spot-check that the located region is a single interval.
 
     The search assumes the inclusion set is contiguous; three deterministic
     pseudo-random probes outside the returned bounds surface violations as
-    a warning instead of silently mislocating the interval.
+    a warning instead of silently mislocating the interval.  ``probed``
+    holds (y, refit) for the probes placed by :func:`_probe_points` around
+    the interval the base fit predicts, fitted before the search.  A probe
+    that lies less than ``tol`` outside the returned interval, or inside
+    it, is replaced by the probe of the same index around the returned
+    interval, fitted now through ``margin``; so is a probe whose fit did
+    not converge from the base fit, at its own place, where ``margin``
+    starts it from the nearest candidates.  Only probes at least ``tol``
+    outside the returned bounds count, the first included one warns, and
+    a probe that fails to fit through ``margin`` warns that it did.
     """
-    if interval.empty:
-        return
-    sides = []
-    if interval.lower > 10.0 * tol:
-        sides.append((tol, interval.lower - tol))
-    if interval.upper < 1.0 - 10.0 * tol:
-        sides.append((interval.upper + tol, 1.0 - tol))
-    if not sides:
-        return
-    for k in range(3):
-        lo, hi = sides[k % len(sides)]
-        w = float(lo + (hi - lo) * PROBE_FRACTIONS[k])
+
+    def refit_at(w: float) -> float | None:
         try:
-            hit = include(w)
+            return margin(w)
         except FitError:  # diagnostics must not abort the interval
-            warnings.warn(f"contiguity probe at {w:.4g} failed to fit", IntervalSearchWarning)
+            return None
+
+    around = _probe_points(interval.lower, interval.upper, tol)
+    for i, (w, refit) in enumerate(probed):
+        if interval.empty or not interval.lower - tol < w < interval.upper + tol:
+            m = refit.margin if refit.converged else refit_at(w)
+        elif i < len(around):
+            w = around[i]
+            m = refit_at(w)
+        else:
             continue
-        if hit:
+        if m is None:
+            warnings.warn(f"contiguity probe at {w:.4g} failed to fit", IntervalSearchWarning)
+        elif m <= 0.0:
             warnings.warn(
                 f"included point {w:.4g} found outside the returned bounds "
                 f"({interval.lower:.4g}, {interval.upper:.4g})",
@@ -458,17 +522,29 @@ def full_cp(
     otherwise its score under the base fit, less that quantile, steers
     the first secant step of each edge.
 
+    The search's first point (:func:`_first_points`) and the three
+    contiguity probes, placed by :func:`_probe_points` around that
+    predicted interval, are refitted first, in one batch (:func:`_margins`)
+    from the base fit; the search reads the first point's margin from it.
+    After the search :func:`_contiguity_probes` warns if a probe at least a
+    resolution outside the returned interval is included or failed to fit,
+    refitting a probe that the returned interval covers at its place
+    around the returned interval, and a probe whose batched refit did not
+    converge at its own place, alone.  The probes never look below the
+    resolution.
+
     The base fit is made once per dataset and family and kept on the
-    dataset, so the intervals of several new points share it.  Each refit
-    starts from the straight line through the parameters of the two
-    nearest candidates already fitted for this interval, when the
-    candidate lies between them or beyond the nearer by at most their
-    spacing, and otherwise from the nearest one (the first from the base
-    fit).  A refit that does not converge from an interpolated or
+    dataset, so the intervals of several new points share it.  Every later
+    refit starts from the straight line through the parameters of the two
+    nearest candidates already fitted for this interval (the probes not
+    among them), when the candidate lies between them or beyond the nearer
+    by at most their spacing, and otherwise from the nearest one, so the
+    search's second point starts from its first.  m1's closed form takes
+    no start.  A refit that does not converge from an interpolated or
     neighbour's start is retried once from the base fit.  Late probes of an
     edge lie within a few resolutions of fitted candidates, so their refits
     start almost converged.  All refits of the call share one candidate
-    workspace (see :func:`_margin`), which is dropped when the call returns.
+    workspace (see :func:`_margins`), which is dropped when the call returns.
     """
     _check_kind(kind, spec.family)
     x_new = _checked_row(x_new, data.p)
@@ -482,7 +558,7 @@ def full_cp(
     fitted: list[tuple[float, np.ndarray]] = []  # (candidate, refit parameters)
 
     def start(y: float) -> np.ndarray:
-        if not fitted:
+        if not fitted or spec.family is ModelFamily.TRANSFORM_HOMO:  # m1's closed form takes no start
             return base_params
         near = sorted(fitted, key=lambda c: abs(c[0] - y))
         y1, p1 = near[0]
@@ -494,15 +570,19 @@ def full_cp(
         return p1
 
     ws = _Likelihood(data, spec.family, x_new)
+    first: dict[float, _Refit] = {}  # refits made in the first batch, until the search reads them
 
     def margin(y: float) -> float:
-        init = start(y)
-        try:
-            refit = _margin(y, ws, kind, cfg.alpha, init)
-        except NonConvergence:
-            if init is base_params:
-                raise
-            refit = _margin(y, ws, kind, cfg.alpha, base_params)
+        if y in first:
+            refit = _converged(first.pop(y), y)
+        else:
+            init = start(y)
+            try:
+                refit = _margin(y, ws, kind, cfg.alpha, init)
+            except NonConvergence:
+                if init is base_params:
+                    raise
+                refit = _margin(y, ws, kind, cfg.alpha, base_params)
         fitted.append((y, refit.params))
         return refit.margin
 
@@ -515,12 +595,21 @@ def full_cp(
     else:
         to_y, tol, lo, hi = (lambda u: float(expit(u))), cfg.grid_step, -LOGIT_LIMIT, LOGIT_LIMIT
         with np.errstate(divide="ignore"):
-            guesses = tuple(float(np.log(y) - np.log1p(-y)) for y in (predicted.lower, predicted.upper))
+            guesses = tuple(_log_odds(np.array([predicted.lower, predicted.upper])).tolist())
     estimate = float(score(kind, to_y(centre), base, x_new)) - q
+
+    # one batch from the base fit: the search's first point and the probes
+    # around the predicted interval; the second point starts from the
+    # first's refit, as every later refit starts from its neighbours
+    ys = [to_y(u) for u in _first_points(lo, hi, tol, guesses)[:1]]
+    probes = _probe_points(predicted.lower, predicted.upper, tol)
+    refits = _margins(ys + probes, ws, kind, cfg.alpha, base_params)
+    first.update(zip(ys, refits))
 
     found = _search(lambda u: margin(to_y(u)), (centre, estimate), lo, hi, tol, guesses)
     if found is None:
-        return PredictionInterval(math.nan, math.nan, level, empty=True)
-    interval = PredictionInterval(to_y(found[0]), to_y(found[1]), level)
-    _contiguity_probes(interval, lambda y: margin(y) <= 0.0, tol)
+        interval = PredictionInterval(math.nan, math.nan, level, empty=True)
+    else:
+        interval = PredictionInterval(to_y(found[0]), to_y(found[1]), level)
+    _contiguity_probes(interval, zip(probes, refits[len(ys) :]), margin, tol)
     return interval

@@ -12,13 +12,17 @@ likelihood is unconstrained.  The homoscedastic transform family has a
 closed-form MLE; the rest run damped Newton on the mean negative
 log-likelihood with its analytic gradient and Hessian (the expected
 information stands in where the Hessian is not positive definite), and
-convergence is judged by a relative gradient criterion.
+convergence is judged by a relative gradient criterion.  One Newton loop
+fits a batch of parameter vectors that share a design: a single fit is a
+batch of one, and full conformal prediction refits several candidate
+responses at once.
 """
 
 from __future__ import annotations
 
 import copy
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,9 +45,11 @@ __all__ = [
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Newton step control: sufficient-decrease constant and most halvings per step
+# Newton step control: sufficient-decrease constant and most halvings per
+# step; the Armijo test allows an increase of SLACK * max(1, |f|)
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 30
+SLACK = 1e3 * np.finfo(float).eps
 
 # a fit has converged when the relative gradient |g_i| * max(1,|x_i|) / max(1,|f|)
 # of the mean log-likelihood is at most GTOL.  Fits whose MLE exists converge
@@ -214,6 +220,30 @@ def _link(family: ModelFamily, mean_lin, disp_lin):
     return mean_lin, np.exp(disp_lin)
 
 
+@functools.lru_cache
+def _hessian_positions(k: int, kd: int) -> np.ndarray:
+    """Where each entry of the (k + kd)-square Hessian sits in the flattened
+    (k + 2 kd, k) product of :meth:`_Likelihood.hessian_from`: the mean
+    block, the cross block below it and its transpose to the right, and
+    the dispersion block."""
+    rows, cols = np.arange(k), np.arange(kd)
+    at = np.empty((k + kd, k + kd), dtype=np.intp)
+    at[:k, :k] = rows[:, None] * k + rows
+    at[k:, :k] = (k + cols[:, None]) * k + rows
+    at[:k, k:] = (k + cols) * k + rows[:, None]
+    at[k:, k:] = (k + kd + cols[:, None]) * k + cols
+    return _read_only(at)
+
+
+def _stacked_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+# dot products of matching rows of two arrays, each the vector product a
+# single row would get, bit for bit; numpy < 2 has no vecdot
+_rowdot = getattr(np, "vecdot", _stacked_rowdot)
+
+
 def _split_params(params: np.ndarray, p: int, family: ModelFamily):
     """Unpack [mean_intercept, mean_coef, disp_intercept, (disp_coef)]."""
     params = np.asarray(params, dtype=float)
@@ -230,51 +260,71 @@ class _Likelihood:
     """Likelihood workspace of one design: what a fit needs, built once.
 
     Holds the designs and the response transforms and provides, in one
-    pass at a parameter vector (:meth:`evaluate`), the mean negative
-    log-likelihood (the optimizer's objective), the per-row derivatives its
-    analytic gradient and Hessian are built from, and the fitted values
-    they came from.  The mean submodel's design ``Z`` is the intercept plus
-    the covariates; the dispersion submodel's design is ``Z`` too, or its
-    first ``kd`` = 1 column, the intercept, when the family has no
-    dispersion covariates.  In that case the dispersion is one scalar for
-    all rows, and its special functions are evaluated once.
+    pass at a batch of parameter vectors (:meth:`evaluate`), the mean
+    negative log-likelihood (the optimizer's objective), the per-row
+    derivatives its analytic gradient and Hessian are built from, and the
+    fitted values they came from.  The mean submodel's design ``Z`` is the
+    intercept plus the covariates; the dispersion submodel's design is
+    ``Z`` too, or its first ``kd`` = 1 column, the intercept, when the
+    family has no dispersion covariates.  In that case the dispersion is
+    one scalar for all rows, and its special functions are evaluated once.
 
-    With ``x_new`` the workspace is full conformal's candidate workspace:
-    the rows of ``data`` plus one row with covariates ``x_new``, validated
-    once, whose response :meth:`set_candidate` writes before each refit.
-    Nothing else changes between candidates.
+    The responses and their transforms are (members, n) arrays: one row,
+    shared by every member, for the workspace of a dataset.  With
+    ``x_new`` the workspace is full conformal's candidate workspace: the
+    rows of ``data`` plus one row with covariates ``x_new``, validated
+    once, whose response :meth:`set_candidates` writes, one per member of
+    a batch, before each refit.  Nothing else changes between candidates.
     """
 
     def __init__(self, data: Dataset, family: ModelFamily, x_new=None):
         X, y = data.X, data.y
         if x_new is not None:
             X = np.vstack([X, _checked_row(x_new, data.p)])
-            y = np.append(y, 0.5)  # a placeholder until set_candidate
+            y = np.append(y, 0.5)  # a placeholder until set_candidates
         self.n, self.k = X.shape[0], data.p + 1
         self.Z = np.column_stack([np.ones(self.n), X])
         self.ZT = np.ascontiguousarray(self.Z.T)
         self._set_family(family)
         self._pinv = None
-        self.y = y
-        self.log_y = np.log(y)
-        self.log_1my = np.log1p(-y)
+        self.y = y[None]
+        self.log_y = np.log(self.y)
+        self.log_1my = np.log1p(-self.y)
         self.z = self.log_y - self.log_1my  # logit(y)
+        self._rows = (self.y, self.log_y, self.log_1my, self.z)  # room for the largest batch so far
 
     def _set_family(self, family: ModelFamily) -> None:
         self.family = family
-        self.kd = self.k if family.models_dispersion else 1
+        self.is_beta, self.models_dispersion = family.is_beta, family.models_dispersion
+        self.kd = self.k if self.models_dispersion else 1
         # how many rows each entry of the dispersion linear predictor stands for
-        self.reps = 1 if family.models_dispersion else self.n
+        self.reps = 1 if self.models_dispersion else self.n
+        self._at = _hessian_positions(self.k, self.kd)  # for hessian_from
 
-    def set_candidate(self, y: float) -> None:
-        """Write the candidate response ``y`` and its transforms into the last row."""
-        y = float(y)
-        if not 0.0 < y < 1.0:
-            raise ValueError("candidate must lie strictly in (0, 1)")
-        self.y[-1] = y
-        self.log_y[-1] = log_y = math.log(y)
-        self.log_1my[-1] = log_1my = math.log1p(-y)
-        self.z[-1] = log_y - log_1my
+    def set_candidates(self, ys) -> None:
+        """Write candidate responses ``ys``, one per batch member, and their
+        transforms into the last row."""
+        ys = [float(y) for y in ys]
+        if len(ys) != len(self.y):
+            if len(ys) > len(self._rows[0]):
+                self._rows = tuple(np.repeat(a[:1], len(ys), axis=0) for a in self._rows)
+            self.y, self.log_y, self.log_1my, self.z = (a[: len(ys)] for a in self._rows)
+        for i, y in enumerate(ys):
+            if not 0.0 < y < 1.0:
+                raise ValueError("candidate must lie strictly in (0, 1)")
+            self.y[i, -1] = y
+            self.log_y[i, -1] = log_y = math.log(y)
+            self.log_1my[i, -1] = log_1my = math.log1p(-y)
+            self.z[i, -1] = log_y - log_1my
+
+    def take(self, members: np.ndarray) -> "_Likelihood":
+        """The workspace of the batch members ``members`` (indices of rows
+        of the responses), sharing the designs."""
+        if len(members) == len(self.y):  # members only ever shrink, so these are all of them
+            return self
+        sub = copy.copy(self)
+        sub.y, sub.log_y, sub.log_1my, sub.z = (a[members] for a in (self.y, self.log_y, self.log_1my, self.z))
+        return sub
 
     def pinv(self) -> np.ndarray:
         """Pseudo-inverse of the design, from one SVD per workspace.
@@ -291,64 +341,77 @@ class _Likelihood:
         return self._pinv
 
     def _linear(self, x: np.ndarray):
-        disp = self.Z @ x[self.k :] if self.family.models_dispersion else x[self.k]
-        return self.Z @ x[: self.k], disp
+        # products of the design with each member's vectors, as one stack of
+        # matrix-vector products: each member gets the bits a single fit would
+        if self.models_dispersion:
+            both = (self.Z @ x.reshape(len(x), 2, self.k)[..., None])[..., 0]
+            return both[:, 0], both[:, 1]
+        return (self.Z @ x[:, : self.k, None])[..., 0], x[:, self.k, None]
 
     def evaluate(self, x: np.ndarray):
-        """Objective and derivative pass at a single parameter vector.
+        """Objective and derivative pass at a batch of parameter vectors.
 
-        Returns the mean negative log-likelihood (inf outside the valid
-        region) and ``rows``: the per-row log-likelihood derivatives in the
-        mean and dispersion linear predictors, and the fitted values they
-        were computed from -- (mu, phi, the shapes [a, b, phi]) for the beta
-        families, (linear predictor, sigma) for the transform families.
-        The first two, from :func:`_link` as in :meth:`FittedModel.predict`,
-        give the rows' scores.  ``rows`` serves both :meth:`gradient_from`
-        and :meth:`hessian_from`.  Floating point errors are left to the
+        ``x`` holds one vector per member, shape (members, K).  Returns the
+        members' mean negative log-likelihoods, a list of floats (inf
+        outside the valid region), and ``rows``: per member, the per-row
+        log-likelihood derivatives in the mean and dispersion linear
+        predictors and the fitted values they were computed from -- mu, phi and the shapes
+        [a, b, phi] for the beta families, the linear predictor and sigma
+        for the transform families.  The first two fitted values, from
+        :func:`_link` as in :meth:`FittedModel.predict`, give the rows'
+        scores.  ``rows`` serves both :meth:`gradient_from` and
+        :meth:`hessian_from`.  Floating point errors are left to the
         caller's ``np.errstate``.
         """
         n = self.n
         mean_lin, disp_lin = self._linear(x)
         mean, spread = _link(self.family, mean_lin, disp_lin)
-        if self.family.is_beta:
-            mu, phi = mean, spread
-            a, b = mu * phi, (1.0 - mu) * phi
-            shapes = np.concatenate([a, b, np.atleast_1d(phi)])
+        if self.is_beta:
+            mu, phi, one_mu = mean, spread, 1.0 - mean
+            a, b = mu * phi, one_mu * phi
+            shapes = np.concatenate([a, b, phi], axis=1)
             log_gamma, dig = sp.gammaln(shapes), sp.digamma(shapes)
-            total = (
-                self.reps * log_gamma[2 * n :].sum()
-                - log_gamma[:n].sum()
-                - log_gamma[n : 2 * n].sum()
-                + (a - 1.0) @ self.log_y
-                + (b - 1.0) @ self.log_1my
+            # each member's objective in Python floats, which round as numpy's would
+            terms = zip(
+                log_gamma[:, 2 * n :].sum(axis=1).tolist(),
+                log_gamma[:, :n].sum(axis=1).tolist(),
+                log_gamma[:, n : 2 * n].sum(axis=1).tolist(),
+                _rowdot(a - 1.0, self.log_y).tolist(),
+                _rowdot(b - 1.0, self.log_1my).tolist(),
             )
-            dig_a, dig_b = dig[:n], dig[n : 2 * n]
-            d_mean = phi * mu * (1.0 - mu) * (self.z - dig_a + dig_b)
+            f = [(self.reps * p - qa - qb + ya + yb) / -n for p, qa, qb, ya, yb in terms]
+            dig_a, dig_b = dig[:, :n], dig[:, n : 2 * n]
+            d_mean = a * one_mu * (self.z - dig_a + dig_b)  # a = phi mu
             d_disp = phi * (
-                dig[2 * n :]
+                dig[:, 2 * n :]
                 - mu * dig_a
-                - (1.0 - mu) * dig_b
+                - one_mu * dig_b
                 + mu * self.log_y
-                + (1.0 - mu) * self.log_1my
+                + one_mu * self.log_1my
             )
-            fitted = (mu, phi, shapes)
+            rows = (d_mean, d_disp, mu, phi, shapes)
         else:
             resid = (self.z - mean) / spread
-            total = -0.5 * LOG_2PI * n - self.reps * np.sum(disp_lin) - 0.5 * (resid @ resid)
-            d_mean, d_disp, fitted = resid / spread, resid * resid - 1.0, (mean, spread)
-        f = -float(total) / n
-        return (f if np.isfinite(f) else np.inf), (d_mean, d_disp, fitted)
+            const = -0.5 * LOG_2PI * n
+            terms = zip(disp_lin.sum(axis=1).tolist(), _rowdot(resid, resid).tolist())
+            f = [(const - self.reps * d - 0.5 * r) / -n for d, r in terms]
+            rows = (resid / spread, resid * resid - 1.0, mean, spread)
+        return [v if math.isfinite(v) else math.inf for v in f], rows
 
     def gradient_from(self, rows) -> np.ndarray:
-        """Analytic gradient of the mean negative log-likelihood from a derivative pass."""
-        d_mean, d_disp, _ = rows
-        g = -np.concatenate([self.ZT @ d_mean, self.ZT[: self.kd] @ d_disp]) / self.n
-        return np.where(np.isfinite(g), g, 0.0)
+        """Analytic gradients of the mean negative log-likelihood from a derivative pass."""
+        d_mean, d_disp = rows[:2]
+        g = np.empty((len(d_mean), self.k + self.kd, 1))
+        np.matmul(self.ZT, d_mean[..., None], out=g[:, : self.k])
+        np.matmul(self.ZT[: self.kd], d_disp[..., None], out=g[:, self.k :])
+        g = g[..., 0] / -self.n
+        g[~np.isfinite(g)] = 0.0
+        return g
 
     def hessian_from(self, rows, expected: bool = False) -> np.ndarray:
-        """Analytic Hessian of the mean negative log-likelihood from a derivative pass.
+        """Analytic Hessians of the mean negative log-likelihood from a derivative pass.
 
-        With ``expected`` it is the expected (Fisher) information instead,
+        With ``expected`` they are the expected (Fisher) information instead,
         which is positive definite for every family at a full-rank design.
         The blocks are ``Z^T diag(w) Z`` products of per-row weights, all
         three from one product of the stacked weighted ``Z^T`` rows with
@@ -357,37 +420,31 @@ class _Likelihood:
         2010 for varying precision).  Non-finite entries are left for the
         caller.
         """
-        d_mean, d_disp, fitted = rows
-        if self.family.is_beta:
-            mu, phi, shapes = fitted
-            n = self.n  # one trigamma call for a, b and phi
-            tri = _trigamma(shapes)
-            tri_a, tri_b, tri_phi = tri[:n], tri[n : 2 * n], tri[2 * n :]
-            slope = mu * (1.0 - mu)  # d mu / d mean_lin
+        d_mean, d_disp, mu, spread = rows[:4]
+        if self.is_beta:
+            phi, n = spread, self.n  # one trigamma call for a, b and phi
+            tri = _trigamma(rows[4])
+            tri_a, tri_b, tri_phi = tri[:, :n], tri[:, n : 2 * n], tri[:, 2 * n :]
+            one_mu, phi2 = 1.0 - mu, phi * phi
+            slope = mu * one_mu  # d mu / d mean_lin
             w_mm = (phi * slope) ** 2 * (tri_a + tri_b)
-            w_md = phi * phi * slope * (mu * tri_a - (1.0 - mu) * tri_b)
-            w_dd = phi * phi * (mu * mu * tri_a + (1.0 - mu) ** 2 * tri_b - tri_phi)
+            w_md = phi2 * slope * (mu * tri_a - one_mu * tri_b)
+            w_dd = phi2 * (mu * mu * tri_a + one_mu**2 * tri_b - tri_phi)
             if not expected:
                 w_mm = w_mm - (1.0 - 2.0 * mu) * d_mean
                 w_md = w_md - d_mean
                 w_dd = w_dd - d_disp
         else:
-            _, sigma = fitted
-            w_mm = sigma**-2.0
-            w_md = 0.0 if expected else 2.0 * d_mean
-            w_dd = 2.0 if expected else 2.0 * (d_disp + 1.0)
+            w_mm = spread**-2.0
+            w_md = np.zeros(d_mean.shape) if expected else 2.0 * d_mean
+            w_dd = np.zeros(d_disp.shape) + 2.0 if expected else 2.0 * (d_disp + 1.0)
         k, kd, ZT = self.k, self.kd, self.ZT
-        weighted = np.empty((k + 2 * kd, self.n))
-        np.multiply(ZT, w_mm, out=weighted[:k])
-        np.multiply(ZT[:kd], w_md, out=weighted[k : k + kd])
-        np.multiply(ZT[:kd], w_dd, out=weighted[k + kd :])
-        blocks = weighted @ self.Z
-        H = np.empty((k + kd,) * 2)
-        H[:k, :k] = blocks[:k]
-        H[k:, :k] = blocks[k : k + kd]
-        H[:k, k:] = H[k:, :k].T
-        H[k:, k:] = blocks[k + kd :, :kd]
-        return H / self.n
+        weighted = np.empty((len(d_mean), k + 2 * kd, self.n))
+        np.multiply(ZT, w_mm[:, None], out=weighted[:, :k])
+        np.multiply(ZT[:kd], w_md[:, None], out=weighted[:, k : k + kd])
+        np.multiply(ZT[:kd], w_dd[:, None], out=weighted[:, k + kd :])
+        blocks = (weighted @ self.Z).reshape(len(d_mean), -1)
+        return blocks.take(self._at, axis=1) / self.n
 
 
 def loglik(data: Dataset, spec: ModelSpec, params) -> float:
@@ -401,130 +458,222 @@ def loglik(data: Dataset, spec: ModelSpec, params) -> float:
     """
     _split_params(params, data.p, spec.family)  # validates the layout
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f = _Likelihood(data, spec.family).evaluate(np.asarray(params, dtype=float))[0]
-    return -data.n * f
+        f = _Likelihood(data, spec.family).evaluate(np.asarray(params, dtype=float)[None])[0]
+    return -data.n * float(f[0])
 
 
-def _relative_gradient(g: np.ndarray, x: np.ndarray, f: float) -> float:
-    return float(np.max(np.abs(g) * np.maximum(1.0, np.abs(x))) / max(1.0, abs(f)))
+def _met_gtol(g: np.ndarray, x: np.ndarray, f: list) -> list:
+    """Per member, whether the relative gradient
+    max_i |g_i| max(1, |x_i|) / max(1, |f|) is at most GTOL."""
+    worst = (np.abs(g) * np.maximum(1.0, np.abs(x))).max(axis=1).tolist()
+    return [w / max(1.0, abs(v)) <= GTOL for w, v in zip(worst, f)]
 
 
-def _newton_direction(lik: _Likelihood, rows, g: np.ndarray) -> np.ndarray | None:
-    """-H^-1 g for the observed Hessian, or for the expected information where
-    the Hessian is not positive definite; None when neither is usable.
+def _take(rows, members):
+    return tuple(r[members] for r in rows)
 
-    ``rows`` is the derivative pass at the current point.  Where the
+
+def _pd_steps(H: np.ndarray, g: np.ndarray):
+    """-H^-1 g per member, and a list telling per member whether its H is
+    not finite, positive definite and solvable (its step is meaningless).
+    The members are solved together, and one by one only when that fails,
+    so one member's matrix never decides another's step."""
+    if np.isfinite(H).all():
+        try:
+            np.linalg.cholesky(H)
+            return -np.linalg.solve(H, g[..., None])[..., 0], [False] * len(g)
+        except np.linalg.LinAlgError:
+            pass
+    if len(g) == 1:
+        return g, [True]
+    step, failed = np.zeros_like(g), [True] * len(g)
+    for i in np.flatnonzero(np.isfinite(H).all(axis=(1, 2))):
+        one, (failed[i],) = _pd_steps(H[i : i + 1], g[i : i + 1])
+        step[i] = one[0]
+    return step, failed
+
+
+def _newton_direction(lik: _Likelihood, rows, g: np.ndarray):
+    """Per member, -H^-1 g for the observed Hessian, or for the expected
+    information where the Hessian is not positive definite, and a list
+    telling which members have neither.
+
+    ``rows`` is the derivative pass at the current points.  Where the
     iterates drift off (no MLE), the entries can span so many orders of
     magnitude that the solve finds the matrix singular even after a
     Cholesky factorization succeeded; that counts as unusable too.
     """
-    for expected in (False, True):
-        H = lik.hessian_from(rows, expected)
-        if not np.all(np.isfinite(H)):
-            continue
-        try:
-            np.linalg.cholesky(H)
-            return -np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            continue
-    return None
+    step, failed = _pd_steps(lik.hessian_from(rows), g)
+    if True not in failed:
+        return step, failed
+    if False not in failed:
+        return _pd_steps(lik.hessian_from(rows, expected=True), g)
+    todo = [i for i, v in enumerate(failed) if v]
+    step[todo], still = _pd_steps(lik.hessian_from(_take(rows, todo), expected=True), g[todo])
+    for i, v in zip(todo, still):
+        failed[i] = v
+    return step, failed
 
 
 def _newton(lik: _Likelihood, x: np.ndarray):
-    """Damped Newton iterations from ``x`` until the relative gradient meets
-    ``GTOL``, no step is acceptable, or ``MAX_ITER`` iterations have run.
+    """Damped Newton iterations from each row of ``x``, one batch member per
+    row of the workspace's responses, until a member's relative gradient
+    meets ``GTOL``, no step of it is acceptable, or ``MAX_ITER`` iterations
+    have run.
 
-    Every point tried gets one :meth:`_Likelihood.evaluate` pass, so the
-    accepted trial point already carries the derivative pass from which
-    the next step's gradient and Hessian are built.  Steps are halved
-    until they satisfy the Armijo condition.  Near an optimum the
+    Each member follows the path it would follow alone: its own step (the
+    observed Hessian, or the expected information where that is not
+    positive definite), its own line search and its own tests, and it
+    leaves the batch when it stops; the members only share the passes over
+    the data.  Every point tried gets one :meth:`_Likelihood.evaluate`
+    pass, so an accepted trial point already carries the derivative pass
+    from which the next step's gradient and Hessian are built.  Steps are
+    halved until they satisfy the Armijo condition.  Near an optimum the
     objective is flat to rounding noise while the gradient may not yet
     have converged, so the condition allows an increase of up to
-    ``1e3 * eps * |f|``.  Runs under the caller's ``np.errstate``.
-    Returns (x, f, whether the gradient test was met, iterations, the
-    fitted values of the pass at x).
+    ``SLACK * max(1, |f|)``.  Runs under the caller's ``np.errstate``.
+    Returns, per member, (x, f, whether the gradient test was met,
+    iterations, and the fitted mean and spread of the pass at x); the
+    tests and the iteration counts are lists.
     """
+    x = np.asarray(x, dtype=float)
     f, rows = lik.evaluate(x)
     g = lik.gradient_from(rows)
+    converged, iterations = [False] * len(x), [0] * len(x)
+    ids = list(range(len(x)))  # each active member's position in the batch
+    left = []  # (positions, x, f, mean, spread) of members that stopped before the last ones
+
+    def stop(members: list, met: list, it: int) -> bool:
+        """The members flagged in ``members`` stop at iteration ``it``, with
+        ``met`` telling whether each met the gradient test; returns whether
+        any others remain."""
+        nonlocal lik, ids, x, f, g, rows
+        for i, stops, m in zip(ids, members, met):
+            if stops:
+                converged[i], iterations[i] = m, it
+        if False not in members:
+            return False
+        mask = np.array(members)
+        at = [i for i, stops in zip(ids, members) if stops]
+        left.append((at, x[mask], [v for v, stops in zip(f, members) if stops], rows[2][mask], rows[3][mask]))
+        rest = ~mask
+        ids = [i for i, stops in zip(ids, members) if not stops]
+        f = [v for v, stops in zip(f, members) if not stops]
+        lik, x, g, rows = lik.take(np.flatnonzero(rest)), x[rest], g[rest], _take(rows, rest)
+        return True
+
+    # the scalar tests of each member run in Python, on its own floats
     for it in range(MAX_ITER):
-        if _relative_gradient(g, x, f) <= GTOL:
-            return x, f, True, it, rows[2]
-        step = _newton_direction(lik, rows, g)
-        if step is None:
-            return x, f, False, it, rows[2]
-        descent = ARMIJO_C * float(g @ step)
-        slack = 1e3 * np.finfo(float).eps * max(1.0, abs(f))
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            x_try = x + t * step
-            f_try, rows_try = lik.evaluate(x_try)
-            if f_try <= f + t * descent + slack:
+        met = _met_gtol(g, x, f)
+        if True in met and not stop(met, met, it):
+            break
+        step, failed = _newton_direction(lik, rows, g)
+        if True in failed:
+            if not stop(failed, [False] * len(failed), it):
                 break
-            t *= 0.5
-        else:
-            return x, f, False, it, rows[2]
-        x, f, rows = x_try, f_try, rows_try
+            step = step[[not v for v in failed]]
+        descent = [ARMIJO_C * d for d in _rowdot(g, step).tolist()]
+        slack = [SLACK * max(1.0, abs(v)) for v in f]
+        t, x_new = [1.0] * len(f), x + step
+        for _ in range(MAX_HALVINGS):
+            f_new, rows_new = lik.evaluate(x_new)
+            refused = [not a <= b + c * d + e for a, b, c, d, e in zip(f_new, f, t, descent, slack)]
+            if True not in refused:
+                break
+            t = [0.5 * c if r else c for c, r in zip(t, refused)]
+            x_new = x + np.array(t)[:, None] * step
+        else:  # no acceptable step: these members stop where they are
+            stuck = np.array(refused)
+            x_new[stuck] = x[stuck]
+            f_new = [b if r else a for a, b, r in zip(f_new, f, refused)]
+            for r_new, r in zip(rows_new, rows):
+                r_new[stuck] = r[stuck]
+            x, f, rows = x_new, f_new, rows_new
+            if not stop(refused, [False] * len(refused), it):
+                break
+            g = lik.gradient_from(rows)
+            continue
+        x, f, rows = x_new, f_new, rows_new
         g = lik.gradient_from(rows)
-    return x, f, _relative_gradient(g, x, f) <= GTOL, MAX_ITER, rows[2]
+    else:
+        stop([True] * len(ids), _met_gtol(g, x, f), MAX_ITER)
+    if not left:
+        return x, np.array(f), converged, iterations, rows[2], rows[3]
+    out = [np.empty((len(converged),) + np.shape(a)[1:]) for a in (x, f, rows[2], rows[3])]
+    for at, *parts in left + [(ids, x, f, rows[2], rows[3])]:
+        for o, part in zip(out, parts):
+            o[at] = part
+    return out[0], out[1], converged, iterations, out[2], out[3]
 
 
 def _ols_logit(lik: _Likelihood):
-    """OLS of logit(y) on the design: (coefficients, fitted linear predictor,
-    residuals, ML residual variance).
+    """OLS of logit(y) on the design, per row of the responses:
+    (coefficients, fitted linear predictor, residual sum of squares, ML
+    residual variance).
 
     The design's pseudo-inverse is computed once per workspace and raises
     :class:`SingularDesign` for a rank-deficient design.
     """
-    coef = lik.pinv() @ lik.z
-    lin = lik.Z @ coef
+    coef = (lik.pinv() @ lik.z[..., None])[..., 0]
+    lin = (lik.Z @ coef[..., None])[..., 0]
     resid = lik.z - lin
-    sigma2 = float(resid @ resid) / lik.n  # maximum likelihood divisor
-    return coef, lin, resid, max(sigma2, 1e-12)
+    rss = _rowdot(resid, resid)
+    return coef, lin, rss, np.maximum(rss / lik.n, 1e-12)  # maximum likelihood divisor
 
 
 def _initial_params(lik: _Likelihood) -> np.ndarray:
-    """Cold start: moments of the OLS fit of logit(y), or for m4 the m3 fit."""
+    """Cold starts, one per row of the responses: moments of the OLS fit of
+    logit(y), or for m4 the m3 fit."""
     p = lik.k - 1
     if lik.family is ModelFamily.BETA_MEAN_DISP:
         m3 = copy.copy(lik)  # the same rows, sharing every array
         m3._set_family(ModelFamily.BETA_MEAN)
         start = _newton(m3, _initial_params(m3))[0]
-        return np.concatenate([start, np.zeros(p)])
+        return np.concatenate([start, np.zeros((len(start), p))], axis=1)
     coef, lin, _, sigma2 = _ols_logit(lik)
     if lik.family is ModelFamily.TRANSFORM_HETERO:
-        return np.concatenate([coef, [0.5 * np.log(sigma2)], np.zeros(p)])
+        return np.concatenate([coef, 0.5 * np.log(sigma2)[:, None], np.zeros((len(coef), p))], axis=1)
     # beta families: method-of-moments precision from the logit-scale residual
     # variance, var(y) ~= var(z) * (mu (1 - mu))^2 by the delta method
     mu = _link(lik.family, lin, 0.0)[0]
-    phi_points = 1.0 / (sigma2 * mu * (1.0 - mu)) - 1.0
-    phi0 = float(np.clip(np.mean(phi_points), 0.5, 1e4))
-    return np.concatenate([coef, [np.log(phi0)]])
+    phi_points = 1.0 / (sigma2[:, None] * mu * (1.0 - mu)) - 1.0
+    phi0 = np.minimum(np.maximum(phi_points.sum(axis=1) / lik.n, 0.5), 1e4)  # the clipped mean
+    return np.concatenate([coef, np.log(phi0)[:, None]], axis=1)
 
 
 def _solve(lik: _Likelihood, init=None):
-    """Fit the workspace's family to its rows: the kernel of :func:`fit` and
-    of full conformal's refits.
+    """Fit the workspace's family to its rows, once per row of its
+    responses: the kernel of :func:`fit` (one member) and of full
+    conformal's refits (a batch of candidates).
 
     m1 is solved in closed form, and its objective and fitted values
     (linear predictor, sigma) come from the OLS fit itself.  The others run
-    :func:`_newton` from the parameter vector ``init`` or, without it, a
-    cold start.  Every fit first checks the design's rank with
-    :meth:`_Likelihood.pinv`, whose SVD is made once per workspace, so the
-    refits of one full-conformal interval share it.  The fit itself runs
-    under one ``np.errstate``.  Returns (params, objective, converged,
-    iterations, fitted values of the final derivative pass).
+    one batched :func:`_newton` from the parameter vector ``init`` for
+    every member or, without it, from each member's cold start.  Every fit
+    first checks the design's rank with :meth:`_Likelihood.pinv`, whose
+    SVD is made once per workspace, so the refits of one full-conformal
+    interval share it.  The fit itself runs under one ``np.errstate``.
+    Returns, per member, (params, objective, converged, iterations, and
+    the fitted mean and spread of the final derivative pass); converged and
+    iterations are lists.
     """
     if lik.n < lik.k + 1:
         raise FitError(f"need at least p + 2 = {lik.k + 1} observations, got {lik.n}")
     lik.pinv()  # raises SingularDesign for a rank-deficient design
+    members = len(lik.y)
+    if lik.family is ModelFamily.TRANSFORM_HOMO:  # raises no floating point error
+        coef, lin, rss, sigma2 = _ols_logit(lik)
+        log_sigma = 0.5 * np.log(sigma2)
+        f = 0.5 * LOG_2PI + log_sigma + 0.5 * rss / (lik.n * sigma2)
+        params = np.concatenate([coef, log_sigma[:, None]], axis=1)
+        return params, f, [True] * members, [0] * members, *_link(lik.family, lin, log_sigma[:, None])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if lik.family is ModelFamily.TRANSFORM_HOMO:
-            coef, lin, resid, sigma2 = _ols_logit(lik)
-            log_sigma = 0.5 * np.log(sigma2)
-            f = 0.5 * LOG_2PI + log_sigma + 0.5 * float(resid @ resid) / (lik.n * sigma2)
-            return np.concatenate([coef, [log_sigma]]), float(f), True, 0, _link(lik.family, lin, log_sigma)
-        x0 = _initial_params(lik) if init is None else np.asarray(init, dtype=float)
-        _split_params(x0, lik.k - 1, lik.family)  # validates the layout
+        if init is None:
+            x0 = _initial_params(lik)
+        else:
+            init = np.asarray(init, dtype=float)
+            _split_params(init, lik.k - 1, lik.family)  # validates the layout
+            x0 = np.repeat(init[None], members, axis=0)
         return _newton(lik, x0)
 
 
@@ -543,8 +692,8 @@ def fit(data: Dataset, spec: ModelSpec, *, init=None) -> FittedModel:
     non-convergence; raises :class:`SingularDesign` for a rank-deficient
     design.
     """
-    x, f, converged, iterations, _ = _solve(_Likelihood(data, spec.family), init)
-    return _build(data, spec, x, f, converged, iterations)
+    x, f, converged, iterations = _solve(_Likelihood(data, spec.family), init)[:4]
+    return _build(data, spec, x[0], float(f[0]), converged[0], iterations[0])
 
 
 def _build(

@@ -93,9 +93,13 @@ def _scalar_or_array(out: np.ndarray, like) -> float | np.ndarray:
 
 def logit(y):
     """Log-odds log(y / (1 - y)) for y strictly inside the unit interval."""
-    arr = _require_open_unit(y, "y")
-    out = np.log(arr) - np.log1p(-arr)
-    return _scalar_or_array(out, y)
+    return _scalar_or_array(_log_odds(_require_open_unit(y, "y")), y)
+
+
+def _log_odds(arr: np.ndarray) -> np.ndarray:
+    """:func:`logit` of an array without the domain check, for callers
+    that have checked it (0 and 1 give -inf and +inf)."""
+    return np.log(arr) - np.log1p(-arr)
 
 
 def expit(x):

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as sp
 
 from .models import FittedModel, ModelFamily
-from .numeric import logit
+from .numeric import _log_odds
 
 __all__ = ["ScoreKind", "score"]
 
@@ -83,10 +83,10 @@ def score(kind: ScoreKind, y, m: FittedModel, x):
     (beta families) or logit(y) (transform families).
     """
     y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0.0) or np.any(y_arr >= 1.0) or not np.all(np.isfinite(y_arr)):
+    if not ((y_arr > 0.0) & (y_arr < 1.0)).all():  # nan fails both tests
         raise ValueError("responses must lie strictly in (0, 1)")
 
-    response = y_arr if m.family.is_beta else logit(y_arr)
+    response = y_arr if m.family.is_beta else _log_odds(y_arr)
     out = _score_fitted(kind, m.family, response, *m.predict(x))
 
     if np.isscalar(y) or np.ndim(y) == 0:

@@ -369,16 +369,17 @@ def test_c10_documented_exclusions_and_relative_cpu(monkeypatch):
     # base fit and refits against split CP's single fit), CPU only for its sign
     fits = 0
 
-    def counting(real):
+    def counting(real, members=lambda *args: 1):
         def wrapped(*args, **kwargs):
             nonlocal fits
-            fits += 1
+            fits += members(*args)
             return real(*args, **kwargs)
 
         return wrapped
 
     monkeypatch.setattr(conformal, "fit", counting(conformal.fit))
-    monkeypatch.setattr(conformal, "_margin", counting(conformal._margin))
+    # every refit passes through _margins, a batch of candidates: each counts
+    monkeypatch.setattr(conformal, "_margins", counting(conformal._margins, lambda ys, *rest: len(ys)))
     cfg = ScenarioConfig(Scenario.BETA_MEAN, 100, 10.0, rng_seed=99)
     split_rep = run_coverage(cfg, M3, ScoreKind.QUANTILE, Method.SPLIT, 0.1, 20)
     split_fits, fits = fits / 20, 0

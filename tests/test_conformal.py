@@ -31,11 +31,11 @@ from unitcp import (
     split_cp,
     split_cp_batch,
 )
-from unitcp import conformal, simlab
+from unitcp import conformal, models, simlab
 from unitcp.cli import ANALYSIS_BATTERY, load_csv
-from unitcp.conformal import _invert_split, _search, _split_fit
+from unitcp.conformal import IntervalSearchWarning, _invert_split, _probe_points, _search, _split_fit
 from unitcp.datasets import bodyfat_path
-from unitcp.models import _Likelihood, fit
+from unitcp.models import MAX_ITER, _Likelihood, fit
 from unitcp.scores import beta_sd
 from unitcp.simlab import ScenarioConfig, gen_covariates, gen_response
 
@@ -467,15 +467,16 @@ def test_full_cp_retries_a_failed_refit_from_the_base_fit(rep):
 
 
 def test_full_cp_does_not_retry_a_refit_that_started_from_the_base_fit(monkeypatch):
-    # the first refit starts from the base fit, so its failure is final
+    # the first batch of refits starts from the base fit, so the failure of
+    # the search's first point is final
     data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
     calls = []
 
-    def failing_margin(y, ws, kind, alpha, init=None):
+    def failing_margins(ys, ws, kind, alpha, init=None):
         calls.append(init)
-        raise NonConvergence("refit did not converge")
+        return [conformal._Refit(math.nan, np.asarray(init), MAX_ITER, False) for _ in ys]
 
-    monkeypatch.setattr(conformal, "_margin", failing_margin)
+    monkeypatch.setattr(conformal, "_margins", failing_margins)
     with pytest.raises(NonConvergence):
         full_cp(data, x_new, M3, ScoreKind.QUANTILE, FullConfig(0.1))
     assert len(calls) == 1
@@ -581,6 +582,204 @@ def test_workspace_detects_a_singular_design(spec, kind):
             indicator(0.5, parent, [1.0, 0.3], spec, kind, 0.1, init=init)
 
 
+# ---------------------------------------------------------------------------
+# a batch of refits against the same refits one at a time
+
+
+def _same_refit(batched, alone):
+    assert batched.converged == alone.converged
+    assert batched.iterations == alone.iterations
+    np.testing.assert_allclose(batched.params, alone.params, rtol=0.0, atol=1e-10)
+    if alone.converged:
+        assert batched.margin == pytest.approx(alone.margin, abs=1e-10)
+    else:
+        assert math.isnan(batched.margin)
+
+
+def _alone(y, ws, kind, init):
+    """The refit of one candidate through ``_margin``, or its non-converged
+    refit when ``_margin`` refuses it."""
+    try:
+        return conformal._margin(y, ws, kind, 0.1, init)
+    except NonConvergence:
+        return conformal._margins([y], ws, kind, 0.1, init)[0]
+
+
+@pytest.mark.parametrize("rowdot", ["installed", "stacked"])
+@pytest.mark.parametrize("spec,kind", [(spec, kind) for spec, kind in VALID_PAIRS if spec is not M1])
+def test_batched_refits_match_one_at_a_time(spec, kind, rowdot, monkeypatch):
+    # batches of 1 to 6 candidates, cold and from the base fit, on simulated
+    # data (n = 60) and on the body-fat table; "stacked" takes the row dot
+    # products as numpy < 2 does, without vecdot
+    if rowdot == "stacked":
+        monkeypatch.setattr(models, "_rowdot", models._stacked_rowdot)
+    scenario, disp = SCENARIO_OF[spec]
+    sim, x_sim, _ = make_scenario_data(scenario, 60, disp, seed=45)
+    bodyfat = load_csv(bodyfat_path())
+    for data, x_new in [(sim, x_sim), (Dataset(bodyfat.y[1:], bodyfat.X[1:]), bodyfat.X[0])]:
+        ws = _Likelihood(data, spec.family, x_new)
+        ys = np.concatenate([[1e-4], np.quantile(data.y, [0.05, 0.3, 0.5, 0.7, 0.95])]).tolist()
+        for init in (None, fit(data, spec).params):
+            alone = [_alone(y, ws, kind, init) for y in ys]
+            for size in range(1, 7):
+                members = [(i + size) % 6 for i in range(size)]  # each size starts elsewhere
+                batch = conformal._margins([ys[i] for i in members], ws, kind, 0.1, init)
+                for refit, i in zip(batch, members):
+                    _same_refit(refit, alone[i])
+
+
+@pytest.mark.parametrize("spec,seed,failing", [(M2, 14, 1), (M4, 0, 3)])
+def test_a_member_that_does_not_converge_leaves_the_others_alone(spec, seed, failing):
+    # n = 20: from the base fit, one candidate's refit stops unconverged
+    # (m2 at MAX_ITER, m4 after 7 iterations) while the others converge
+    scenario, disp = SCENARIO_OF[spec]
+    data, x_new, _ = make_scenario_data(scenario, 20, disp, seed=seed)
+    start = fit(data, spec).params
+    ws = _Likelihood(data, spec.family, x_new)
+    ys = [1e-6, 0.3, 0.5, 0.7, 1.0 - 1e-6]
+    batch = conformal._margins(ys, ws, ScoreKind.PEARSON, 0.1, start)
+    assert [refit.converged for refit in batch] == [i != failing for i in range(len(ys))]
+    for y, refit in zip(ys, batch):
+        _same_refit(refit, _alone(y, ws, ScoreKind.PEARSON, start))
+    with pytest.raises(NonConvergence):
+        conformal._margin(ys[failing], ws, ScoreKind.PEARSON, 0.1, start)
+
+
+def test_a_member_without_a_positive_definite_hessian_steps_alone(monkeypatch):
+    # m2 at n = 20, cold: in the first step two of five members' observed
+    # Hessians are not positive definite, and only they take the expected
+    # information's step
+    data, x_new, _ = make_scenario_data(Scenario.TRANSFORM_HETERO, 20, None, seed=0)
+    ws = _Likelihood(data, M2.family, x_new)
+    ys = np.quantile(data.y, [0.05, 0.3, 0.5, 0.7, 0.95]).tolist()
+    passes = []  # (members, expected) of every Hessian pass
+    real = _Likelihood.hessian_from
+
+    def spy(self, rows, expected=False):
+        passes.append((len(rows[0]), expected))
+        return real(self, rows, expected)
+
+    monkeypatch.setattr(_Likelihood, "hessian_from", spy)
+    batch = conformal._margins(ys, ws, ScoreKind.PEARSON, 0.1)
+    monkeypatch.undo()
+    assert passes[:2] == [(5, False), (2, True)]
+    for y, refit in zip(ys, batch):
+        _same_refit(refit, _alone(y, ws, ScoreKind.PEARSON, None))
+
+
+# ---------------------------------------------------------------------------
+# the contiguity probes
+
+
+def _predicted_probes(data, x_new, spec, kind, tol):
+    """Where full_cp places its probes: around the base fit's split inversion."""
+    base = fit(data, spec)
+    q = conformal_quantile(score(kind, data.y, base, data.X), 0.1)
+    predicted = _invert_split(base, kind, q, x_new, 0.9)
+    return predicted, _probe_points(predicted.lower, predicted.upper, tol)
+
+
+def _fake_margins(monkeypatch, margin_of, failing=lambda y, call: False):
+    """Replace every refit by the margin ``margin_of(y)``, or a failed fit
+    where ``failing(y, call)`` (``call`` counts the calls from 0); returns
+    the candidates of every call."""
+    calls = []
+
+    def fake(ys, ws, kind, alpha, init=None):
+        calls.append(list(ys))
+        params = np.zeros(ws.k + ws.kd)
+        failed = conformal._Refit(math.nan, params, MAX_ITER, False)
+        return [
+            failed if failing(y, len(calls) - 1) else conformal._Refit(margin_of(y), params, 1, True) for y in ys
+        ]
+
+    monkeypatch.setattr(conformal, "_margins", fake)
+    return calls
+
+
+def _interval_margin(lower, upper):
+    return lambda y: max(lower - y, y - upper)
+
+
+def test_probes_lie_outside_the_returned_interval(monkeypatch):
+    # the set reaches far below the predicted interval, so the first probe,
+    # placed around the predicted interval, falls inside the returned one
+    # and is refitted where it would lie around the returned interval
+    tol, kind = FullConfig.tolerance, ScoreKind.QUANTILE
+    data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
+    predicted, probes = _predicted_probes(data, x_new, M3, kind, tol)
+    lower, upper = 0.3 * predicted.lower, predicted.upper
+    calls = _fake_margins(monkeypatch, _interval_margin(lower, upper))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntervalSearchWarning)
+        iv = full_cp(data, x_new, M3, kind, FullConfig(0.1))
+    assert lower <= iv.lower < lower + tol and upper - tol < iv.upper <= upper
+    assert calls[0][1:] == probes  # one batch: the search's first point, then the probes
+    around = _probe_points(iv.lower, iv.upper, tol)
+    covered = [i for i, w in enumerate(probes) if iv.lower - tol < w < iv.upper + tol]
+    assert covered == [0]
+    assert calls[-1] == [around[0]]  # refitted after the search, where it lies outside
+    for w in [around[i] if i in covered else w for i, w in enumerate(probes)]:
+        assert w <= iv.lower - tol or w >= iv.upper + tol
+
+
+def test_an_included_probe_warns(monkeypatch):
+    # a second component around the probe nearest 0
+    tol, kind = FullConfig.tolerance, ScoreKind.QUANTILE
+    data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
+    predicted, probes = _predicted_probes(data, x_new, M3, kind, tol)
+    main, far = _interval_margin(predicted.lower, predicted.upper), _interval_margin(0.9 * probes[2], 1.1 * probes[2])
+    _fake_margins(monkeypatch, lambda y: min(main(y), far(y)))
+    with pytest.warns(IntervalSearchWarning, match="included point"):
+        iv = full_cp(data, x_new, M3, kind, FullConfig(0.1))
+    assert iv.lower > 1.1 * probes[2]
+
+
+def test_a_probe_that_fails_to_fit_warns(monkeypatch):
+    tol, kind = FullConfig.tolerance, ScoreKind.QUANTILE
+    data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
+    predicted, probes = _predicted_probes(data, x_new, M3, kind, tol)
+    margin = _interval_margin(predicted.lower, predicted.upper)
+    calls = _fake_margins(monkeypatch, margin, failing=lambda y, call: y == probes[1])
+    with pytest.warns(IntervalSearchWarning, match="failed to fit"):
+        full_cp(data, x_new, M3, kind, FullConfig(0.1))
+    assert calls[-1] == [probes[1]]  # refitted alone before it warns
+
+
+def test_a_probe_that_fails_in_the_batch_is_refitted_alone(monkeypatch):
+    # the probe's refit from the base fit fails, its refit from the nearest
+    # candidates converges, so nothing warns
+    tol, kind = FullConfig.tolerance, ScoreKind.QUANTILE
+    data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
+    predicted, probes = _predicted_probes(data, x_new, M3, kind, tol)
+    margin = _interval_margin(predicted.lower, predicted.upper)
+    calls = _fake_margins(monkeypatch, margin, failing=lambda y, call: y == probes[1] and call == 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntervalSearchWarning)
+        full_cp(data, x_new, M3, kind, FullConfig(0.1))
+    assert probes[1] in calls[0] and calls[-1] == [probes[1]]
+
+
+@pytest.mark.parametrize("spec", [M3, M4])
+def test_full_cp_searches_when_the_predicted_interval_is_the_whole_range(spec):
+    # low precision and a steep mean: the base fit's Pearson inversion at
+    # x_new = 0 is clamped to (0, 1), so neither edge guess nor any probe
+    # lies inside the range and the first batch of refits is empty
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 1))
+    mu = expit(2.5 * X[:, 0])
+    y = np.clip(rng.beta(mu, 1.0 - mu), 1e-4, 1.0 - 1e-4)
+    data, x_new, kind, tol = Dataset(y, X), np.array([0.0]), ScoreKind.PEARSON, FullConfig.tolerance
+    base = fit(data, spec)
+    predicted = _invert_split(base, kind, conformal_quantile(score(kind, y, base, X), 0.1), x_new, 0.9)
+    assert (predicted.lower, predicted.upper) == (0.0, 1.0)
+    assert _probe_points(predicted.lower, predicted.upper, tol) == []
+    iv = full_cp(data, x_new, spec, kind, FullConfig(0.1))
+    assert 0.0 < iv.lower < 1e-3 and 1.0 - 1e-3 < iv.upper < 1.0
+    for y_edge in (iv.lower, iv.upper):
+        assert indicator(y_edge, data, x_new, spec, kind, 0.1, init=base.params)
+
+
 def test_full_cp_and_fits_raise_no_floating_point_warnings():
     # every floating-point error of a fit is expected and handled inside it
     bodyfat = load_csv(bodyfat_path())
@@ -618,7 +817,7 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
     cons = Dataset(data.y[perm[n_test:]], data.X[perm[n_test:]])
     fits = cold = 0  # base fits and refits, counted where full_cp makes them
     warm_iterations = []  # Newton iterations of the m2-m4 warm refits
-    real_fit, real_margin = conformal.fit, conformal._margin
+    real_fit, real_margins = conformal.fit, conformal._margins
 
     def counting_fit(*args, **kwargs):
         nonlocal fits, cold
@@ -626,18 +825,19 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
         cold += kwargs.get("init") is None
         return real_fit(*args, **kwargs)
 
-    def counting_margin(y, ws, kind, alpha, init=None):
+    def counting_margins(ys, ws, kind, alpha, init=None):
+        # every refit passes here (_margin is a batch of one): each member counts
         nonlocal fits, cold
-        fits += 1
-        refit = real_margin(y, ws, kind, alpha, init)
+        fits += len(ys)
+        refits = real_margins(ys, ws, kind, alpha, init)
         if init is None:
-            cold += 1
+            cold += len(ys)
         elif ws.family is not ModelFamily.TRANSFORM_HOMO:
-            warm_iterations.append(refit.iterations)
-        return refit
+            warm_iterations.extend(refit.iterations for refit in refits)
+        return refits
 
     monkeypatch.setattr(conformal, "fit", counting_fit)
-    monkeypatch.setattr(conformal, "_margin", counting_margin)
+    monkeypatch.setattr(conformal, "_margins", counting_margins)
     intervals = 0
     for i in perm[:n_test]:
         for family, kind in ANALYSIS_BATTERY:

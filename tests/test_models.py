@@ -17,6 +17,7 @@ from unitcp import (
     logit,
     loglik,
 )
+from unitcp import models
 from unitcp.cli import load_csv
 from unitcp.datasets import bodyfat_path
 from unitcp.models import MAX_ITER, _Likelihood, _initial_params
@@ -156,15 +157,16 @@ def test_m3_recovers_truth():
 
 def _objective_and_gradient(lik):
     """The mean negative log-likelihood and its analytic gradient, as
-    functions of one parameter vector, from ``lik``'s derivative pass."""
+    functions of one parameter vector, from ``lik``'s derivative pass of a
+    batch of that one vector."""
 
     def objective(x):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return lik.evaluate(x)[0]
+            return lik.evaluate(x[None])[0][0]
 
     def gradient(x):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return lik.gradient_from(lik.evaluate(x)[1])
+            return lik.gradient_from(lik.evaluate(x[None])[1])[0]
 
     return objective, gradient
 
@@ -273,8 +275,8 @@ def test_predict_matches_likelihood_fitted_values(spec):
                 M3: Scenario.BETA_MEAN, M4: Scenario.BETA_MEAN_DISP}[spec]
     data, _, _ = make_scenario_data(scenario, 80, None, seed=9)
     m = fit(data, spec)
-    _, (_, _, fitted) = _Likelihood(data, spec.family).evaluate(m.params)
-    for got, want in zip(m.predict(data.X), fitted[:2]):
+    _, rows = _Likelihood(data, spec.family).evaluate(m.params[None])
+    for got, want in zip(m.predict(data.X), (rows[2][0], rows[3][0])):
         np.testing.assert_allclose(np.broadcast_to(got, (data.n,)), np.broadcast_to(want, (data.n,)), rtol=1e-12)
 
 
@@ -350,7 +352,7 @@ def test_hessian_matches_central_differences(spec, scenario, disp):
     rng = np.random.default_rng(32)
     for _ in range(10):
         x = rng.normal(0.0, 0.4, dim)
-        rows = lik.evaluate(x)[1]
+        rows = lik.evaluate(x[None])[1]
         oracle = np.empty((dim, dim))
         for j in range(dim):
             h = 1e-6 * max(1.0, abs(x[j]))
@@ -359,8 +361,18 @@ def test_hessian_matches_central_differences(spec, scenario, disp):
             xm[j] -= h
             oracle[:, j] = (gradient(xp) - gradient(xm)) / (2.0 * h)
         denom = np.maximum(np.abs(oracle), 1e-6)
-        assert np.max(np.abs(lik.hessian_from(rows) - oracle) / denom) < 1e-5
-        assert np.min(np.linalg.eigvalsh(lik.hessian_from(rows, expected=True))) > 0.0
+        assert np.max(np.abs(lik.hessian_from(rows)[0] - oracle) / denom) < 1e-5
+        assert np.min(np.linalg.eigvalsh(lik.hessian_from(rows, expected=True)[0])) > 0.0
+
+
+@pytest.mark.parametrize("rowdot", [models._rowdot, models._stacked_rowdot], ids=["installed", "stacked"])
+def test_row_products_are_the_products_of_single_rows(rowdot):
+    # a batch member's dot products have the bits its row alone would get
+    rng = np.random.default_rng(4)
+    for members, n in ((1, 15), (3, 166), (6, 1001)):
+        a, b = rng.normal(size=(members, n)), rng.normal(size=(members, n))
+        assert rowdot(a, b).tolist() == [float(a[i] @ b[i]) for i in range(members)]
+        assert rowdot(a, b[0]).tolist() == [float(a[i] @ b[0]) for i in range(members)]
 
 
 @pytest.mark.parametrize("spec,scenario,disp", [
@@ -375,7 +387,7 @@ def test_newton_matches_bfgs_reference(spec, scenario, disp):
     for data in (sim, load_csv(bodyfat_path())):
         m = fit(data, spec)
         assert m.converged and 0 < m.iterations <= MAX_ITER
-        ref = _bfgs_reference(data, spec, _initial_params(_Likelihood(data, spec.family)))
+        ref = _bfgs_reference(data, spec, _initial_params(_Likelihood(data, spec.family))[0])
         assert np.max(np.abs(m.params - ref)) < 1e-6
         # a warm-started refit of the data plus one point, as full CP does
         aug = data.augmented(float(np.median(data.y)), data.X[0])
