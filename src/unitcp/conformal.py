@@ -19,15 +19,12 @@ The refits of an interval share one candidate workspace, built and
 validated once: the design of the n rows plus the new covariate row,
 with the response transforms, of which each candidate rewrites only its
 own row.  A refit is one fit of that workspace, and the n + 1 scores come
-from the fitted values of its last derivative pass.  The search's first
-point and three contiguity probes are refitted first, together, in one
-batched Newton solve from the base fit.  The probes lie at fixed fractions
-of the ranges outside the interval the base fit predicts, never below the
-resolution or above 1 minus it; one that the returned interval covers is
-moved to the same fraction outside the returned interval and refitted
-there, and one whose refit in the batch does not converge is refitted
-alone at its place.  A probe only warns: when it is included, or when its
-fit fails.
+from the fitted values of its last derivative pass.  The conformal set
+need not be one interval, and full CP returns the hull of the included
+points it finds.  For the beta families these include the two end cells,
+y = tol/2 and 1 - tol/2, which are refitted from the base fit together
+with the search's first point in one batched Newton solve: an included
+end cell is the interval's endpoint on its side.
 Every later refit starts from the parameters of the candidates already
 fitted for the interval, interpolated between the two nearest.
 """
@@ -35,7 +32,6 @@ fitted for the interval, interpolated between the two nearest.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
@@ -43,7 +39,6 @@ import numpy as np
 
 from .models import (
     Dataset,
-    FitError,
     FittedModel,
     ModelFamily,
     ModelSpec,
@@ -78,13 +73,14 @@ EDGE_GROWTH = 4.0
 # probes aimed at an estimated edge go this many resolutions inside it
 EDGE_AIM = 0.25
 
-# where in its side's range each contiguity probe looks: the first three
-# draws of np.random.default_rng(0).uniform(0.05, 0.9)
-PROBE_FRACTIONS = (0.5914174342232362, 0.27931870669928976, 0.08482749534576549)
-
 
 class IntervalSearchWarning(UserWarning):
-    """The adaptive search saw evidence against a contiguous inclusion region."""
+    """Evidence against a contiguous inclusion region.
+
+    Nothing in unitcp raises it any more: full CP returns the hull of the
+    included points it finds.  It stays exported for the benchmark driver
+    and the test configuration, which name it.
+    """
 
 
 @dataclass(frozen=True)
@@ -395,7 +391,7 @@ def _first_points(lo: float, hi: float, tol: float, guesses) -> list[float]:
     return [g for g in points if lo + 0.5 * tol <= g <= hi - 0.5 * tol]
 
 
-def _search(margin, centre, lo: float, hi: float, tol: float, guesses):
+def _search(margin, centre, lo: float, hi: float, tol: float, guesses, ends=()):
     """Inclusion region of ``margin`` within the range (lo, hi) of one coordinate.
 
     ``guesses`` are where the edges are expected and ``centre`` is a point
@@ -405,10 +401,13 @@ def _search(margin, centre, lo: float, hi: float, tol: float, guesses):
     and the centre only when neither of them is included.  When the centre is excluded too, a
     coarse expansion evaluates the midpoint of every gap of ``tol`` or more
     between known points (the range ends count as excluded) until one is
-    included.  Then :func:`_edge` locates each edge from the outermost
-    included points, with ``centre`` to steer its first secant step; the
-    estimate never certifies an endpoint.  Returns None for an empty
-    region, else (lower, upper).
+    included.  ``ends`` holds points (u, margin) evaluated beforehand; once
+    the search has found the region, the included ones join the known
+    points, and the excluded ones are dropped, so they steer nothing.
+    Then :func:`_edge` locates each edge from the outermost included
+    points, with ``centre`` to steer its first secant step; the estimate
+    never certifies an endpoint.  Returns None for an empty region, else
+    (lower, upper): the hull of the included points found.
     """
     known = {lo: None, hi: None}
 
@@ -423,73 +422,18 @@ def _search(margin, centre, lo: float, hi: float, tol: float, guesses):
         xs = sorted(known)
         mids = [0.5 * (a + b) for a, b in zip(xs[:-1], xs[1:]) if b - a >= tol]
         if not mids:
-            return None
+            break
         for w in mids:
             known[w] = margin(w)
+    known.update((u, m) for u, m in ends if m <= 0.0)
     xs = sorted(known)
     hits = [i for i, u in enumerate(xs) if known[u] is not None and known[u] <= 0.0]
+    if not hits:
+        return None
     i, j = hits[0], hits[-1]
     lower = _edge(margin, (xs[i], known[xs[i]]), (xs[i - 1], known[xs[i - 1]]), tol, centre)
     upper = _edge(margin, (xs[j], known[xs[j]]), (xs[j + 1], known[xs[j + 1]]), tol, centre)
     return lower, upper
-
-
-def _probe_points(lower: float, upper: float, tol: float) -> list[float]:
-    """Where the three contiguity probes look outside (lower, upper): at
-    ``PROBE_FRACTIONS`` of the ranges (tol, lower - tol) and
-    (upper + tol, 1 - tol), taking the sides in turn, where a side is wider
-    than 10 tol.  None when neither is; never below tol or above 1 - tol."""
-    sides = []
-    if lower > 10.0 * tol:
-        sides.append((tol, lower - tol))
-    if upper < 1.0 - 10.0 * tol:
-        sides.append((upper + tol, 1.0 - tol))
-    if not sides:
-        return []
-    return [float(a + (b - a) * frac) for (a, b), frac in zip(sides * 3, PROBE_FRACTIONS)]
-
-
-def _contiguity_probes(interval: PredictionInterval, probed, margin, tol: float) -> None:
-    """Spot-check that the located region is a single interval.
-
-    The search assumes the inclusion set is contiguous; three deterministic
-    pseudo-random probes outside the returned bounds surface violations as
-    a warning instead of silently mislocating the interval.  ``probed``
-    holds (y, refit) for the probes placed by :func:`_probe_points` around
-    the interval the base fit predicts, fitted before the search.  A probe
-    that lies less than ``tol`` outside the returned interval, or inside
-    it, is replaced by the probe of the same index around the returned
-    interval, fitted now through ``margin``; so is a probe whose fit did
-    not converge from the base fit, at its own place, where ``margin``
-    starts it from the nearest candidates.  Only probes at least ``tol``
-    outside the returned bounds count, the first included one warns, and
-    a probe that fails to fit through ``margin`` warns that it did.
-    """
-
-    def refit_at(w: float) -> float | None:
-        try:
-            return margin(w)
-        except FitError:  # diagnostics must not abort the interval
-            return None
-
-    around = _probe_points(interval.lower, interval.upper, tol)
-    for i, (w, refit) in enumerate(probed):
-        if interval.empty or not interval.lower - tol < w < interval.upper + tol:
-            m = refit.margin if refit.converged else refit_at(w)
-        elif i < len(around):
-            w = around[i]
-            m = refit_at(w)
-        else:
-            continue
-        if m is None:
-            warnings.warn(f"contiguity probe at {w:.4g} failed to fit", IntervalSearchWarning)
-        elif m <= 0.0:
-            warnings.warn(
-                f"included point {w:.4g} found outside the returned bounds "
-                f"({interval.lower:.4g}, {interval.upper:.4g})",
-                IntervalSearchWarning,
-            )
-            return
 
 
 def _base_fit(data: Dataset, spec: ModelSpec) -> FittedModel:
@@ -516,27 +460,29 @@ def full_cp(
     ``cfg.tolerance`` around the fitted mean, and the transform families in
     logit on (-LOGIT_LIMIT, LOGIT_LIMIT) to ``cfg.grid_step`` around the
     fitted linear predictor, so neither search range cuts the set.  The first
-    probes are just inside the edges where the base fit puts them: the
+    points are just inside the edges where the base fit puts them: the
     split inversion of the base model at the conformal quantile of its
     own scores.  The fitted centre is refitted only when neither is included;
     otherwise its score under the base fit, less that quantile, steers
     the first secant step of each edge.
 
-    The search's first point (:func:`_first_points`) and the three
-    contiguity probes, placed by :func:`_probe_points` around that
-    predicted interval, are refitted first, in one batch (:func:`_margins`)
-    from the base fit; the search reads the first point's margin from it.
-    After the search :func:`_contiguity_probes` warns if a probe at least a
-    resolution outside the returned interval is included or failed to fit,
-    refitting a probe that the returned interval covers at its place
-    around the returned interval, and a probe whose batched refit did not
-    converge at its own place, alone.  The probes never look below the
-    resolution.
+    The interval is the hull of the included points found: the conformal
+    set need not be one interval.  For the beta families the search's
+    first point (:func:`_first_points`) is refitted in one batch
+    (:func:`_margins`) from the base fit together with the two end cells,
+    y = tol/2 and 1 - tol/2, the middles of the first and last resolution
+    cells of (0, 1).  An included end cell is the interval's endpoint on
+    its side; an excluded one leaves the search as it would be without
+    it.  An end cell whose refit in the batch does not converge is
+    refitted once cold, a start that depends on the candidate alone, and
+    the interval raises :class:`NonConvergence` when that fails too.  The
+    end cells' refits never start another refit.  The transform families
+    have no end cells, and their batch holds the first point alone.
 
     The base fit is made once per dataset and family and kept on the
     dataset, so the intervals of several new points share it.  Every later
     refit starts from the straight line through the parameters of the two
-    nearest candidates already fitted for this interval (the probes not
+    nearest candidates already fitted for this interval (the end cells not
     among them), when the candidate lies between them or beyond the nearer
     by at most their spacing, and otherwise from the nearest one, so the
     search's second point starts from its first.  m1's closed form takes
@@ -598,18 +544,20 @@ def full_cp(
             guesses = tuple(_log_odds(np.array([predicted.lower, predicted.upper])).tolist())
     estimate = float(score(kind, to_y(centre), base, x_new)) - q
 
-    # one batch from the base fit: the search's first point and the probes
-    # around the predicted interval; the second point starts from the
-    # first's refit, as every later refit starts from its neighbours
+    # one batch from the base fit: the search's first point and the end
+    # cells; the second point starts from the first's refit, as every
+    # later refit starts from its neighbours
     ys = [to_y(u) for u in _first_points(lo, hi, tol, guesses)[:1]]
-    probes = _probe_points(predicted.lower, predicted.upper, tol)
-    refits = _margins(ys + probes, ws, kind, cfg.alpha, base_params)
+    cells = [0.5 * tol, 1.0 - 0.5 * tol] if spec.family.is_beta else []
+    refits = _margins(ys + cells, ws, kind, cfg.alpha, base_params)
     first.update(zip(ys, refits))
+    # an end cell that fails from the base fit is refitted once cold
+    ends = [
+        (y, (r if r.converged else _margin(y, ws, kind, cfg.alpha)).margin)
+        for y, r in zip(cells, refits[len(ys) :])
+    ]
 
-    found = _search(lambda u: margin(to_y(u)), (centre, estimate), lo, hi, tol, guesses)
+    found = _search(lambda u: margin(to_y(u)), (centre, estimate), lo, hi, tol, guesses, ends)
     if found is None:
-        interval = PredictionInterval(math.nan, math.nan, level, empty=True)
-    else:
-        interval = PredictionInterval(to_y(found[0]), to_y(found[1]), level)
-    _contiguity_probes(interval, zip(probes, refits[len(ys) :]), margin, tol)
-    return interval
+        return PredictionInterval(math.nan, math.nan, level, empty=True)
+    return PredictionInterval(to_y(found[0]), to_y(found[1]), level)

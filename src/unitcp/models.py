@@ -235,13 +235,9 @@ def _hessian_positions(k: int, kd: int) -> np.ndarray:
     return _read_only(at)
 
 
-def _stacked_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[..., None, :] @ b[..., None])[..., 0, 0]
-
-
 # dot products of matching rows of two arrays, each the vector product a
-# single row would get, bit for bit; numpy < 2 has no vecdot
-_rowdot = getattr(np, "vecdot", _stacked_rowdot)
+# single row would get, bit for bit
+_rowdot = np.vecdot
 
 
 def _split_params(params: np.ndarray, p: int, family: ModelFamily):

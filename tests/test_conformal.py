@@ -11,7 +11,6 @@ from unitcp import (
     BetaParams,
     Dataset,
     FullConfig,
-    ModelFamily,
     ModelSpec,
     NonConvergence,
     PredictionInterval,
@@ -31,9 +30,9 @@ from unitcp import (
     split_cp,
     split_cp_batch,
 )
-from unitcp import conformal, models, simlab
+from unitcp import conformal, simlab
 from unitcp.cli import ANALYSIS_BATTERY, load_csv
-from unitcp.conformal import IntervalSearchWarning, _invert_split, _probe_points, _search, _split_fit
+from unitcp.conformal import _first_points, _invert_split, _search, _split_fit
 from unitcp.datasets import bodyfat_path
 from unitcp.models import MAX_ITER, _Likelihood, fit
 from unitcp.scores import beta_sd
@@ -431,7 +430,8 @@ CERTIFIED_CASES = [
 @pytest.mark.parametrize("spec,scenario,disp,kind", CERTIFIED_CASES)
 def test_full_cp_edges_are_certified(spec, scenario, disp, kind):
     # a cold-start fit includes each endpoint and excludes the point one
-    # search tolerance outside it
+    # search tolerance outside it, where that point lies in (0, 1): an
+    # included end cell is the endpoint (m4/pearson, seed 1301, 1 - tol/2)
     cfg = FullConfig(0.1)
     cases = [(100, 1300 + seed) for seed in range(3)]
     if spec is M2:
@@ -445,7 +445,8 @@ def test_full_cp_edges_are_certified(spec, scenario, disp, kind):
             else:
                 out = float(expit(logit(end) + side * cfg.grid_step))
             assert indicator(end, data, x_new, spec, kind, cfg.alpha)
-            assert not indicator(out, data, x_new, spec, kind, cfg.alpha)
+            if 0.0 < out < 1.0:
+                assert not indicator(out, data, x_new, spec, kind, cfg.alpha)
 
 
 @pytest.mark.parametrize("rep", [66, 108, 127])
@@ -467,8 +468,9 @@ def test_full_cp_retries_a_failed_refit_from_the_base_fit(rep):
 
 
 def test_full_cp_does_not_retry_a_refit_that_started_from_the_base_fit(monkeypatch):
-    # the first batch of refits starts from the base fit, so the failure of
-    # the search's first point is final
+    # the first batch of refits starts from the base fit, so nothing in it is
+    # retried from there: only an end cell is, once cold, and its failure
+    # is final
     data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
     calls = []
 
@@ -479,7 +481,7 @@ def test_full_cp_does_not_retry_a_refit_that_started_from_the_base_fit(monkeypat
     monkeypatch.setattr(conformal, "_margins", failing_margins)
     with pytest.raises(NonConvergence):
         full_cp(data, x_new, M3, ScoreKind.QUANTILE, FullConfig(0.1))
-    assert len(calls) == 1
+    assert calls[0] is not None and calls[1:] == [None]
 
 
 @pytest.mark.parametrize("spec,scenario,disp,kind", CERTIFIED_CASES)
@@ -605,14 +607,10 @@ def _alone(y, ws, kind, init):
         return conformal._margins([y], ws, kind, 0.1, init)[0]
 
 
-@pytest.mark.parametrize("rowdot", ["installed", "stacked"])
 @pytest.mark.parametrize("spec,kind", [(spec, kind) for spec, kind in VALID_PAIRS if spec is not M1])
-def test_batched_refits_match_one_at_a_time(spec, kind, rowdot, monkeypatch):
+def test_batched_refits_match_one_at_a_time(spec, kind):
     # batches of 1 to 6 candidates, cold and from the base fit, on simulated
-    # data (n = 60) and on the body-fat table; "stacked" takes the row dot
-    # products as numpy < 2 does, without vecdot
-    if rowdot == "stacked":
-        monkeypatch.setattr(models, "_rowdot", models._stacked_rowdot)
+    # data (n = 60) and on the body-fat table
     scenario, disp = SCENARIO_OF[spec]
     sim, x_sim, _ = make_scenario_data(scenario, 60, disp, seed=45)
     bodyfat = load_csv(bodyfat_path())
@@ -668,25 +666,26 @@ def test_a_member_without_a_positive_definite_hessian_steps_alone(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the contiguity probes
+# the end cells
+
+END_CELLS = [0.5 * FullConfig.tolerance, 1.0 - 0.5 * FullConfig.tolerance]
 
 
-def _predicted_probes(data, x_new, spec, kind, tol):
-    """Where full_cp places its probes: around the base fit's split inversion."""
+def _predicted(data, x_new, spec, kind):
+    """The interval the base fit predicts: its split inversion."""
     base = fit(data, spec)
     q = conformal_quantile(score(kind, data.y, base, data.X), 0.1)
-    predicted = _invert_split(base, kind, q, x_new, 0.9)
-    return predicted, _probe_points(predicted.lower, predicted.upper, tol)
+    return _invert_split(base, kind, q, x_new, 0.9), base
 
 
 def _fake_margins(monkeypatch, margin_of, failing=lambda y, call: False):
     """Replace every refit by the margin ``margin_of(y)``, or a failed fit
     where ``failing(y, call)`` (``call`` counts the calls from 0); returns
-    the candidates of every call."""
+    the candidates and the start of every call."""
     calls = []
 
     def fake(ys, ws, kind, alpha, init=None):
-        calls.append(list(ys))
+        calls.append((list(ys), init))
         params = np.zeros(ws.k + ws.kd)
         failed = conformal._Refit(math.nan, params, MAX_ITER, False)
         return [
@@ -701,70 +700,94 @@ def _interval_margin(lower, upper):
     return lambda y: max(lower - y, y - upper)
 
 
-def test_probes_lie_outside_the_returned_interval(monkeypatch):
-    # the set reaches far below the predicted interval, so the first probe,
-    # placed around the predicted interval, falls inside the returned one
-    # and is refitted where it would lie around the returned interval
-    tol, kind = FullConfig.tolerance, ScoreKind.QUANTILE
+def _fake_full_cp(monkeypatch, margin_of, failing=lambda y, call: False):
+    """``full_cp`` for m3/quantile on s3 data with every refit faked; returns
+    the interval and the calls of ``_fake_margins``."""
     data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
-    predicted, probes = _predicted_probes(data, x_new, M3, kind, tol)
-    lower, upper = 0.3 * predicted.lower, predicted.upper
-    calls = _fake_margins(monkeypatch, _interval_margin(lower, upper))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntervalSearchWarning)
-        iv = full_cp(data, x_new, M3, kind, FullConfig(0.1))
-    assert lower <= iv.lower < lower + tol and upper - tol < iv.upper <= upper
-    assert calls[0][1:] == probes  # one batch: the search's first point, then the probes
-    around = _probe_points(iv.lower, iv.upper, tol)
-    covered = [i for i, w in enumerate(probes) if iv.lower - tol < w < iv.upper + tol]
-    assert covered == [0]
-    assert calls[-1] == [around[0]]  # refitted after the search, where it lies outside
-    for w in [around[i] if i in covered else w for i, w in enumerate(probes)]:
-        assert w <= iv.lower - tol or w >= iv.upper + tol
+    calls = _fake_margins(monkeypatch, margin_of, failing)
+    return full_cp(data, x_new, M3, ScoreKind.QUANTILE, FullConfig(0.1)), calls
 
 
-def test_an_included_probe_warns(monkeypatch):
-    # a second component around the probe nearest 0
-    tol, kind = FullConfig.tolerance, ScoreKind.QUANTILE
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_an_included_end_cell_is_the_endpoint(side):
+    # a second component that reaches into the end cell moves only its
+    # side's endpoint, onto the end cell; the other side is the one of the
+    # set without it
+    tol = FullConfig.tolerance
     data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
-    predicted, probes = _predicted_probes(data, x_new, M3, kind, tol)
-    main, far = _interval_margin(predicted.lower, predicted.upper), _interval_margin(0.9 * probes[2], 1.1 * probes[2])
-    _fake_margins(monkeypatch, lambda y: min(main(y), far(y)))
-    with pytest.warns(IntervalSearchWarning, match="included point"):
-        iv = full_cp(data, x_new, M3, kind, FullConfig(0.1))
-    assert iv.lower > 1.1 * probes[2]
+    predicted, _ = _predicted(data, x_new, M3, ScoreKind.QUANTILE)
+    main = _interval_margin(predicted.lower, predicted.upper)
+    far = _interval_margin(0.0, 2e-4) if side == "lower" else _interval_margin(1.0 - 2e-4, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        one, _ = _fake_full_cp(mp, main)
+    assert predicted.lower <= one.lower < predicted.lower + tol
+    assert predicted.upper - tol < one.upper <= predicted.upper
+    with pytest.MonkeyPatch.context() as mp:
+        two, _ = _fake_full_cp(mp, lambda y: min(main(y), far(y)))
+    if side == "lower":
+        assert (two.lower, two.upper) == (0.5 * tol, one.upper)
+    else:
+        assert (two.lower, two.upper) == (one.lower, 1.0 - 0.5 * tol)
 
 
-def test_a_probe_that_fails_to_fit_warns(monkeypatch):
-    tol, kind = FullConfig.tolerance, ScoreKind.QUANTILE
-    data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
-    predicted, probes = _predicted_probes(data, x_new, M3, kind, tol)
-    margin = _interval_margin(predicted.lower, predicted.upper)
-    calls = _fake_margins(monkeypatch, margin, failing=lambda y, call: y == probes[1])
-    with pytest.warns(IntervalSearchWarning, match="failed to fit"):
-        full_cp(data, x_new, M3, kind, FullConfig(0.1))
-    assert calls[-1] == [probes[1]]  # refitted alone before it warns
+@pytest.mark.parametrize("spec,kind", VALID_PAIRS[::2])
+def test_the_first_batch_holds_the_first_point_and_the_end_cells(monkeypatch, spec, kind):
+    # one batch from the base fit; the transform families have no end cells
+    tol = FullConfig.tolerance
+    scenario, disp = SCENARIO_OF[spec]
+    data, x_new, _ = make_scenario_data(scenario, 40, disp, seed=52)
+    predicted, base = _predicted(data, x_new, spec, kind)
+    calls = _fake_margins(monkeypatch, _interval_margin(predicted.lower, predicted.upper))
+    full_cp(data, x_new, spec, kind, FullConfig(0.1))
+    ys, init = calls[0]
+    np.testing.assert_array_equal(init, base.params)
+    if spec.family.is_beta:
+        first = _first_points(0.0, 1.0, tol, (predicted.lower, predicted.upper))[0]
+        assert ys == [first, *END_CELLS]
+    else:
+        assert ys == [pytest.approx(float(expit(logit(predicted.lower) + 0.25 * tol)), rel=1e-12)]
+    assert not any(cell in ys for ys, _ in calls[1:] for cell in END_CELLS)
 
 
-def test_a_probe_that_fails_in_the_batch_is_refitted_alone(monkeypatch):
-    # the probe's refit from the base fit fails, its refit from the nearest
-    # candidates converges, so nothing warns
-    tol, kind = FullConfig.tolerance, ScoreKind.QUANTILE
-    data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
-    predicted, probes = _predicted_probes(data, x_new, M3, kind, tol)
-    margin = _interval_margin(predicted.lower, predicted.upper)
-    calls = _fake_margins(monkeypatch, margin, failing=lambda y, call: y == probes[1] and call == 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntervalSearchWarning)
-        full_cp(data, x_new, M3, kind, FullConfig(0.1))
-    assert probes[1] in calls[0] and calls[-1] == [probes[1]]
+@pytest.mark.parametrize("cell", END_CELLS)
+def test_an_end_cell_that_fails_in_the_batch_is_refitted_cold_once(monkeypatch, cell):
+    tol = FullConfig.tolerance
+    iv, calls = _fake_full_cp(monkeypatch, _interval_margin(0.2, 0.6), lambda y, call: y == cell and call == 0)
+    assert cell in calls[0][0]
+    assert [(ys, init) for ys, init in calls if cell in ys][1:] == [([cell], None)]
+    assert sum(init is None for _, init in calls) == 1
+    assert 0.2 <= iv.lower < 0.2 + tol and 0.6 - tol < iv.upper <= 0.6
+
+
+@pytest.mark.parametrize("cell", END_CELLS)
+def test_an_end_cell_that_fails_cold_too_fails_the_interval(monkeypatch, cell):
+    with pytest.raises(NonConvergence, match="candidate"):
+        _fake_full_cp(monkeypatch, _interval_margin(0.2, 0.6), lambda y, call: y == cell)
+
+
+@pytest.mark.parametrize("rep,cell", [(46, END_CELLS[1]), (172, END_CELLS[0])])
+def test_an_end_cell_that_fails_from_the_base_fit_converges_cold(rep, cell):
+    # s4 at n = 20, drawn as run_coverage's first attempt at replication rep:
+    # the end cell's refit from the base fit stops unconverged and its cold
+    # refit converges, excluding the cell at rep 46 and including it at 172
+    cfg, kind = ScenarioConfig(Scenario.BETA_MEAN_DISP, 20), ScoreKind.QUANTILE
+    rng = np.random.default_rng([cfg.rng_seed, rep])
+    X = gen_covariates(cfg.n + 1, rng)
+    y = gen_response(cfg, X, rng)
+    data, x_new = Dataset(y[:-1], X[:-1]), X[-1]
+    ws = _Likelihood(data, M4.family, x_new)
+    assert not conformal._margins([cell], ws, kind, 0.1, fit(data, M4).params)[0].converged
+    included = indicator(cell, data, x_new, M4, kind, 0.1)
+    assert included == (rep == 172)
+    iv = full_cp(data, x_new, M4, kind, FullConfig(0.1))
+    assert ((iv.lower if cell < 0.5 else iv.upper) == cell) == included
 
 
 @pytest.mark.parametrize("spec", [M3, M4])
 def test_full_cp_searches_when_the_predicted_interval_is_the_whole_range(spec):
     # low precision and a steep mean: the base fit's Pearson inversion at
-    # x_new = 0 is clamped to (0, 1), so neither edge guess nor any probe
-    # lies inside the range and the first batch of refits is empty
+    # x_new = 0 is clamped to (0, 1), so neither edge guess lies inside the
+    # range and the first batch holds only the end cells
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 1))
     mu = expit(2.5 * X[:, 0])
@@ -773,7 +796,7 @@ def test_full_cp_searches_when_the_predicted_interval_is_the_whole_range(spec):
     base = fit(data, spec)
     predicted = _invert_split(base, kind, conformal_quantile(score(kind, y, base, X), 0.1), x_new, 0.9)
     assert (predicted.lower, predicted.upper) == (0.0, 1.0)
-    assert _probe_points(predicted.lower, predicted.upper, tol) == []
+    assert _first_points(0.0, 1.0, tol, (predicted.lower, predicted.upper)) == []
     iv = full_cp(data, x_new, spec, kind, FullConfig(0.1))
     assert 0.0 < iv.lower < 1e-3 and 1.0 - 1e-3 < iv.upper < 1.0
     for y_edge in (iv.lower, iv.upper):
@@ -805,18 +828,13 @@ def test_full_cp_and_fits_raise_no_floating_point_warnings():
                 fit(small, spec)
 
 
-def test_contiguity_probe_fractions_are_the_seeded_draws():
-    rng = np.random.default_rng(0)
-    assert conformal.PROBE_FRACTIONS == tuple(rng.uniform(0.05, 0.9) for _ in range(3))
-
-
 def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
     data = load_csv(bodyfat_path())
     n_test = round(0.1 * data.n)
     perm = np.random.default_rng([1, 0]).permutation(data.n)
     cons = Dataset(data.y[perm[n_test:]], data.X[perm[n_test:]])
     fits = cold = 0  # base fits and refits, counted where full_cp makes them
-    warm_iterations = []  # Newton iterations of the m2-m4 warm refits
+    iterations = 0  # Newton iterations of the refits; m1's closed form takes none
     real_fit, real_margins = conformal.fit, conformal._margins
 
     def counting_fit(*args, **kwargs):
@@ -827,13 +845,12 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
 
     def counting_margins(ys, ws, kind, alpha, init=None):
         # every refit passes here (_margin is a batch of one): each member counts
-        nonlocal fits, cold
+        nonlocal fits, cold, iterations
         fits += len(ys)
         refits = real_margins(ys, ws, kind, alpha, init)
         if init is None:
             cold += len(ys)
-        elif ws.family is not ModelFamily.TRANSFORM_HOMO:
-            warm_iterations.extend(refit.iterations for refit in refits)
+        iterations += sum(refit.iterations for refit in refits)
         return refits
 
     monkeypatch.setattr(conformal, "fit", counting_fit)
@@ -843,9 +860,9 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
         for family, kind in ANALYSIS_BATTERY:
             full_cp(cons, data.X[i], ModelSpec(family), kind, FullConfig(0.1))
             intervals += 1
-    assert fits / intervals <= 11.5
+    assert fits / intervals <= 9.5
     assert cold == 4  # one base fit per family: every test point shares the dataset
-    assert np.mean(warm_iterations) <= 2.4
+    assert iterations / intervals <= 20.5
 
 
 def _recording(margin):

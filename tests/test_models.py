@@ -365,14 +365,13 @@ def test_hessian_matches_central_differences(spec, scenario, disp):
         assert np.min(np.linalg.eigvalsh(lik.hessian_from(rows, expected=True)[0])) > 0.0
 
 
-@pytest.mark.parametrize("rowdot", [models._rowdot, models._stacked_rowdot], ids=["installed", "stacked"])
-def test_row_products_are_the_products_of_single_rows(rowdot):
+def test_row_products_are_the_products_of_single_rows():
     # a batch member's dot products have the bits its row alone would get
     rng = np.random.default_rng(4)
     for members, n in ((1, 15), (3, 166), (6, 1001)):
         a, b = rng.normal(size=(members, n)), rng.normal(size=(members, n))
-        assert rowdot(a, b).tolist() == [float(a[i] @ b[i]) for i in range(members)]
-        assert rowdot(a, b[0]).tolist() == [float(a[i] @ b[0]) for i in range(members)]
+        assert models._rowdot(a, b).tolist() == [float(a[i] @ b[i]) for i in range(members)]
+        assert models._rowdot(a, b[0]).tolist() == [float(a[i] @ b[0]) for i in range(members)]
 
 
 @pytest.mark.parametrize("spec,scenario,disp", [
