@@ -5,33 +5,36 @@ conformal quantile of the calibration scores, and inverts the score
 inequality in closed form.  Full conformal refits the model for candidate
 responses.  Each candidate has a signed margin, its score minus the k-th
 smallest score of the other n points, which is <= 0 exactly when the
-candidate is in the conformal set and moves continuously with it.  One
-edge search serves all four families: it probes first the two edges the
-base fit predicts, and the fitted centre only when neither is included;
-from the outermost included points it extrapolates by secant until a
-candidate is excluded, and closes the bracket by Illinois regula falsi,
-returning the included end of a bracket no wider than the resolution.
-The beta families are searched in y on (0, 1); the transform families on
-the logit scale over (-LOGIT_LIMIT, LOGIT_LIMIT).  When k > n every
-candidate is in the set, and the interval is (0, 1) with no fit.  The
-base fit is made once per dataset and family and kept on the dataset.
-The refits of an interval share one candidate workspace, built and
-validated once: the design of the n rows plus the new covariate row,
+candidate is in the conformal set and moves continuously with it.  Every
+refit starts from the base fit, so a margin is a function of its
+candidate alone.  One edge search serves all four families: it probes
+first the two edges the base fit predicts, and the fitted centre only
+when neither is included; from the outermost included points it
+extrapolates by secant until a candidate is excluded, and closes the
+bracket by Illinois regula falsi, returning the included end of a
+bracket no wider than the resolution.  The lower and upper edges advance
+in lockstep, each round refitting both edges' next probes in one batched
+solve.  The beta families are searched in y on (0, 1); the transform
+families on the logit scale over (-LOGIT_LIMIT, LOGIT_LIMIT).  When k > n
+every candidate is in the set, and the interval is (0, 1) with no fit.
+The base fit is made once per dataset and family and kept on the
+dataset.  The refits of an interval share one candidate workspace, built
+and validated once: the design of the n rows plus the new covariate row,
 with the response transforms, of which each candidate rewrites only its
 own row.  A refit is one fit of that workspace, and the n + 1 scores come
-from the fitted values of its last derivative pass.  The conformal set
+from the fitted values of its last derivative pass.  A refit that does
+not converge from the base fit is refitted once cold.  The conformal set
 need not be one interval, and full CP returns the hull of the included
 points it finds.  For the beta families these include the two end cells,
-y = tol/2 and 1 - tol/2, which are refitted from the base fit together
-with the search's first point in one batched Newton solve: an included
-end cell is the interval's endpoint on its side.
-Every later refit starts from the parameters of the candidates already
-fitted for the interval, interpolated between the two nearest.
+y = tol/2 and 1 - tol/2, which are refitted together with the search's
+first points in one batch: an included end cell is the interval's
+endpoint on its side.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
@@ -40,7 +43,6 @@ import numpy as np
 from .models import (
     Dataset,
     FittedModel,
-    ModelFamily,
     ModelSpec,
     NonConvergence,
     _checked_row,
@@ -141,8 +143,9 @@ class FullConfig:
 
     The endpoint resolutions are fixed, not settings: ``tolerance`` in y
     for the beta families' search and ``grid_step`` on the logit scale for
-    the transform families'.  Each returned endpoint is included and lies
-    within that resolution of the edge of the conformal set.
+    the transform families'.  Each returned endpoint is certified included
+    by a refit from the base fit and lies within that resolution of the
+    edge of the conformal set.
     """
 
     tolerance: ClassVar[float] = 1e-4
@@ -327,12 +330,14 @@ def indicator(
     return _margin(aug_candidate, ws, kind, alpha, init).margin <= 0.0
 
 
-def _edge(margin, inside, outside, tol: float, prev=None) -> float:
+def _edge(inside, outside, tol: float, prev=None) -> Generator[float, float, float]:
     """Locate the edge of the inclusion region between two points.
 
+    A generator: it yields each point u it probes and is sent margin(u), so
+    that :func:`_search` can refit the probes of both edges in one batch.
     ``inside`` is a point (u, margin(u)) with margin <= 0.  ``outside`` is an
     excluded point, or the end of the search range with margin ``None``; the
-    end itself is never evaluated.  Until an excluded point is known the
+    end itself is never probed.  Until an excluded point is known the
     search extrapolates the secant through the last two included points,
     at most ``EDGE_GROWTH`` times the last step and never past the range
     end, which it approaches by halving.  ``prev`` stands in for the point
@@ -372,7 +377,7 @@ def _edge(margin, inside, outside, tol: float, prev=None) -> float:
             r = 0.5 * (a + b)
             if r in (a, b):  # the bracket cannot shrink any further
                 break
-        m = margin(r)
+        m = yield r
         if m > 0.0:
             if kept == "inside":
                 fa *= 0.5
@@ -385,55 +390,74 @@ def _edge(margin, inside, outside, tol: float, prev=None) -> float:
 
 
 def _first_points(lo: float, hi: float, tol: float, guesses) -> list[float]:
-    """The points :func:`_search` evaluates first: the edge guesses, each moved
+    """The edge guesses that :func:`_search` evaluates first, each moved
     ``EDGE_AIM`` times ``tol`` inward, that lie at least tol/2 inside (lo, hi)."""
     points = (guesses[0] + EDGE_AIM * tol, guesses[1] - EDGE_AIM * tol)
     return [g for g in points if lo + 0.5 * tol <= g <= hi - 0.5 * tol]
 
 
-def _search(margin, centre, lo: float, hi: float, tol: float, guesses, ends=()):
-    """Inclusion region of ``margin`` within the range (lo, hi) of one coordinate.
+def _search(margins, centre, lo: float, hi: float, tol: float, guesses, cells=()):
+    """Inclusion region of a margin within the range (lo, hi) of one coordinate.
 
-    ``guesses`` are where the edges are expected and ``centre`` is a point
-    (u, estimated margin) where the region is expected.  The guesses,
-    moved ``EDGE_AIM`` times ``tol`` inward as :func:`_edge` moves its probes,
-    are evaluated first where they lie at least tol/2 inside the range,
-    and the centre only when neither of them is included.  When the centre is excluded too, a
-    coarse expansion evaluates the midpoint of every gap of ``tol`` or more
-    between known points (the range ends count as excluded) until one is
-    included.  ``ends`` holds points (u, margin) evaluated beforehand; once
-    the search has found the region, the included ones join the known
-    points, and the excluded ones are dropped, so they steer nothing.
-    Then :func:`_edge` locates each edge from the outermost included
-    points, with ``centre`` to steer its first secant step; the estimate
-    never certifies an endpoint.  Returns None for an empty region, else
-    (lower, upper): the hull of the included points found.
+    ``margins`` maps a list of points to their margins, and each call is
+    one batch.  ``guesses`` are where the edges are expected and ``centre``
+    is a point (u, estimated margin) where the region is expected.  The
+    first batch holds the guesses, moved ``EDGE_AIM`` times ``tol`` inward
+    as :func:`_edge` moves its probes, where they lie at least tol/2 inside
+    the range, and then the points ``cells``.  The centre goes in alone,
+    and only when neither guess is included.  When the centre is excluded
+    too, a coarse expansion evaluates, in one batch per round, the
+    midpoint of every gap of ``tol`` or more between known points (the
+    range ends count as excluded) until one is included.  Once the search
+    has found the region, the included ``cells`` join the known points and
+    the excluded ones are dropped, so they steer nothing.  Then an
+    :func:`_edge` search runs from each of the outermost included points,
+    with ``centre`` to steer its first secant step; the estimate never
+    certifies an endpoint.  The two edges advance in lockstep: each round
+    is one batch of the next probe of every edge still open.  Returns None
+    for an empty region, else (lower, upper): the hull of the included
+    points found.
     """
     known = {lo: None, hi: None}
 
     def found() -> bool:
         return any(m is not None and m <= 0.0 for m in known.values())
 
-    for g in _first_points(lo, hi, tol, guesses):
-        known[g] = margin(g)
+    first = _first_points(lo, hi, tol, guesses)
+    batch = margins(first + list(cells))
+    known.update(zip(first, batch))
+    included_cells = [(u, m) for u, m in zip(cells, batch[len(first) :]) if m <= 0.0]
     if not found() and centre[0] not in known:
-        known[centre[0]] = margin(centre[0])
+        known[centre[0]] = margins([centre[0]])[0]
     while not found():
         xs = sorted(known)
         mids = [0.5 * (a + b) for a, b in zip(xs[:-1], xs[1:]) if b - a >= tol]
         if not mids:
             break
-        for w in mids:
-            known[w] = margin(w)
-    known.update((u, m) for u, m in ends if m <= 0.0)
+        known.update(zip(mids, margins(mids)))
+    known.update(included_cells)
     xs = sorted(known)
     hits = [i for i, u in enumerate(xs) if known[u] is not None and known[u] <= 0.0]
     if not hits:
         return None
     i, j = hits[0], hits[-1]
-    lower = _edge(margin, (xs[i], known[xs[i]]), (xs[i - 1], known[xs[i - 1]]), tol, centre)
-    upper = _edge(margin, (xs[j], known[xs[j]]), (xs[j + 1], known[xs[j + 1]]), tol, centre)
-    return lower, upper
+    lower = _edge((xs[i], known[xs[i]]), (xs[i - 1], known[xs[i - 1]]), tol, centre)
+    upper = _edge((xs[j], known[xs[j]]), (xs[j + 1], known[xs[j + 1]]), tol, centre)
+    bounds = {}
+
+    def send(edge, m) -> list:
+        """The edge's next probe, or none once it has returned its bound."""
+        try:
+            return [(edge, edge.send(m))]
+        except StopIteration as stop:
+            bounds[edge] = stop.value
+            return []
+
+    probes = send(lower, None) + send(upper, None)
+    while probes:
+        batch = margins([u for _, u in probes])
+        probes = [p for (edge, _), m in zip(probes, batch) for p in send(edge, m)]
+    return bounds[lower], bounds[upper]
 
 
 def _base_fit(data: Dataset, spec: ModelSpec) -> FittedModel:
@@ -468,29 +492,23 @@ def full_cp(
 
     The interval is the hull of the included points found: the conformal
     set need not be one interval.  For the beta families the search's
-    first point (:func:`_first_points`) is refitted in one batch
-    (:func:`_margins`) from the base fit together with the two end cells,
-    y = tol/2 and 1 - tol/2, the middles of the first and last resolution
-    cells of (0, 1).  An included end cell is the interval's endpoint on
-    its side; an excluded one leaves the search as it would be without
-    it.  An end cell whose refit in the batch does not converge is
-    refitted once cold, a start that depends on the candidate alone, and
-    the interval raises :class:`NonConvergence` when that fails too.  The
-    end cells' refits never start another refit.  The transform families
-    have no end cells, and their batch holds the first point alone.
+    first batch also holds the two end cells, y = tol/2 and 1 - tol/2, the
+    middles of the first and last resolution cells of (0, 1): an included
+    end cell is the interval's endpoint on its side, and an excluded one
+    leaves the search as it would be without it.  The transform families
+    have no end cells.
 
     The base fit is made once per dataset and family and kept on the
-    dataset, so the intervals of several new points share it.  Every later
-    refit starts from the straight line through the parameters of the two
-    nearest candidates already fitted for this interval (the end cells not
-    among them), when the candidate lies between them or beyond the nearer
-    by at most their spacing, and otherwise from the nearest one, so the
-    search's second point starts from its first.  m1's closed form takes
-    no start.  A refit that does not converge from an interpolated or
-    neighbour's start is retried once from the base fit.  Late probes of an
-    edge lie within a few resolutions of fitted candidates, so their refits
-    start almost converged.  All refits of the call share one candidate
-    workspace (see :func:`_margins`), which is dropped when the call returns.
+    dataset, so the intervals of several new points share it.  Every
+    refit starts from the base fit, which depends on the data alone, so
+    each candidate's margin depends on the candidate alone and not on the
+    search's path.  The search hands its points over in batches (see
+    :func:`_search`), each refitted in one batched solve (see
+    :func:`_margins`).  A member that does not converge is refitted once
+    cold, a start that also depends on the candidate alone, and the
+    interval raises :class:`NonConvergence` when that fails too.  All
+    refits of the call share one candidate workspace, which is dropped
+    when the call returns.
     """
     _check_kind(kind, spec.family)
     x_new = _checked_row(x_new, data.p)
@@ -501,63 +519,27 @@ def full_cp(
     if not base.converged:
         raise NonConvergence("base fit did not converge")
     base_params = base.params  # a property that packs a new array on each access
-    fitted: list[tuple[float, np.ndarray]] = []  # (candidate, refit parameters)
-
-    def start(y: float) -> np.ndarray:
-        if not fitted or spec.family is ModelFamily.TRANSFORM_HOMO:  # m1's closed form takes no start
-            return base_params
-        near = sorted(fitted, key=lambda c: abs(c[0] - y))
-        y1, p1 = near[0]
-        if len(near) > 1 and near[1][0] != y1:
-            y2, p2 = near[1]
-            t = (y - y1) / (y1 - y2)  # in [-1/2, 0] between the two
-            if t <= 1.0:
-                return p1 + t * (p1 - p2)
-        return p1
-
-    ws = _Likelihood(data, spec.family, x_new)
-    first: dict[float, _Refit] = {}  # refits made in the first batch, until the search reads them
-
-    def margin(y: float) -> float:
-        if y in first:
-            refit = _converged(first.pop(y), y)
-        else:
-            init = start(y)
-            try:
-                refit = _margin(y, ws, kind, cfg.alpha, init)
-            except NonConvergence:
-                if init is base_params:
-                    raise
-                refit = _margin(y, ws, kind, cfg.alpha, base_params)
-        fitted.append((y, refit.params))
-        return refit.margin
-
     q = conformal_quantile(score(kind, data.y, base, data.X), cfg.alpha)
     predicted = _invert_split(base, kind, q, x_new, level)
     centre = float(base.predict(x_new)[0])
     if spec.family.is_beta:
         to_y, tol, lo, hi = float, cfg.tolerance, 0.0, 1.0
         guesses = (predicted.lower, predicted.upper)
+        cells = [0.5 * tol, 1.0 - 0.5 * tol]
     else:
         to_y, tol, lo, hi = (lambda u: float(expit(u))), cfg.grid_step, -LOGIT_LIMIT, LOGIT_LIMIT
         with np.errstate(divide="ignore"):
             guesses = tuple(_log_odds(np.array([predicted.lower, predicted.upper])).tolist())
+        cells = []
     estimate = float(score(kind, to_y(centre), base, x_new)) - q
+    ws = _Likelihood(data, spec.family, x_new)
 
-    # one batch from the base fit: the search's first point and the end
-    # cells; the second point starts from the first's refit, as every
-    # later refit starts from its neighbours
-    ys = [to_y(u) for u in _first_points(lo, hi, tol, guesses)[:1]]
-    cells = [0.5 * tol, 1.0 - 0.5 * tol] if spec.family.is_beta else []
-    refits = _margins(ys + cells, ws, kind, cfg.alpha, base_params)
-    first.update(zip(ys, refits))
-    # an end cell that fails from the base fit is refitted once cold
-    ends = [
-        (y, (r if r.converged else _margin(y, ws, kind, cfg.alpha)).margin)
-        for y, r in zip(cells, refits[len(ys) :])
-    ]
+    def margins(us) -> list[float]:
+        ys = [to_y(u) for u in us]
+        refits = _margins(ys, ws, kind, cfg.alpha, base_params)
+        return [(r if r.converged else _margin(y, ws, kind, cfg.alpha)).margin for y, r in zip(ys, refits)]
 
-    found = _search(lambda u: margin(to_y(u)), (centre, estimate), lo, hi, tol, guesses, ends)
+    found = _search(margins, (centre, estimate), lo, hi, tol, guesses, cells)
     if found is None:
         return PredictionInterval(math.nan, math.nan, level, empty=True)
     return PredictionInterval(to_y(found[0]), to_y(found[1]), level)

@@ -1,6 +1,7 @@
 """Split and full conformal prediction mechanics."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -354,7 +355,7 @@ def test_full_cp_deterministic():
     (M4, Scenario.BETA_MEAN_DISP, None, ScoreKind.QUANTILE),
 ])
 def test_full_cp_keeps_no_state_between_intervals(spec, scenario, disp, kind):
-    # the warm starts of one interval must not leak into the next, and the
+    # nothing of one interval may leak into the next, and the
     # base fit kept on the dataset must give what a fresh one does
     data, x_new, _ = make_scenario_data(scenario, 60, disp, seed=41)
     other = data.X[0]
@@ -449,11 +450,34 @@ def test_full_cp_edges_are_certified(spec, scenario, disp, kind):
                 assert not indicator(out, data, x_new, spec, kind, cfg.alpha)
 
 
+def _bodyfat_split(seed, s):
+    """The construction set and test rows of ``analyze``'s split ``rng=[seed, s]``."""
+    data = load_csv(bodyfat_path())
+    perm = np.random.default_rng([seed, s]).permutation(data.n)
+    n_test = round(0.1 * data.n)
+    return Dataset(data.y[perm[n_test:]], data.X[perm[n_test:]]), data.X, perm[:n_test]
+
+
+def test_full_cp_edges_are_certified_on_bodyfat():
+    # split rng=[2, 33], row 114, m2/pearson: a search whose refits started
+    # from neighbouring candidates returned an upper endpoint, 0.3498580427,
+    # that a cold fit excludes
+    cons, X, test_rows = _bodyfat_split(2, 33)
+    assert 114 in test_rows
+    cfg, x_new, kind = FullConfig(0.1), X[114], ScoreKind.PEARSON
+    iv = full_cp(cons, x_new, M2, kind, cfg)
+    for end, side in ((iv.lower, -1.0), (iv.upper, 1.0)):
+        assert indicator(end, cons, x_new, M2, kind, cfg.alpha)
+        assert not indicator(float(expit(logit(end) + side * cfg.grid_step)), cons, x_new, M2, kind, cfg.alpha)
+
+
 @pytest.mark.parametrize("rep", [66, 108, 127])
-def test_full_cp_retries_a_failed_refit_from_the_base_fit(rep):
+def test_full_cp_retries_a_failed_refit_cold(rep):
     # s4 at n = 20, drawn as run_coverage's first attempt at replication rep:
-    # one refit from its warm start does not converge, and its retry from
-    # the base fit does; the finite edges are certified by cold fits
+    # refits from the base fit do not converge (an end cell at reps 66 and
+    # 127; at rep 108 an end cell and two search probes near the upper
+    # edge), and their cold refits do; the finite edges are certified by
+    # cold fits
     cfg, spec, kind, tol = ScenarioConfig(Scenario.BETA_MEAN_DISP, 20), M4, ScoreKind.QUANTILE, FullConfig.tolerance
     rng = np.random.default_rng([cfg.rng_seed, rep])
     X = gen_covariates(cfg.n + 1, rng)
@@ -467,10 +491,28 @@ def test_full_cp_retries_a_failed_refit_from_the_base_fit(rep):
             assert not indicator(end + side * tol, data, x_new, spec, kind, 0.1)
 
 
-def test_full_cp_does_not_retry_a_refit_that_started_from_the_base_fit(monkeypatch):
-    # the first batch of refits starts from the base fit, so nothing in it is
-    # retried from there: only an end cell is, once cold, and its failure
-    # is final
+def test_full_cp_returns_an_interval_where_m2_refits_fail_from_the_base_fit():
+    # s2 at n = 20, drawn as run_coverage's first attempt at replication 66:
+    # refits near the upper edge stop unconverged from the base fit and
+    # converge cold; a search that retried them from the base fit raised
+    # NonConvergence at 0.966061.  m2 has several maxima here, so the cold
+    # and the base-fit refits of an endpoint may disagree; each endpoint is
+    # included by a refit from the base fit
+    cfg, kind = ScenarioConfig(Scenario.TRANSFORM_HETERO, 20), ScoreKind.PEARSON
+    rng = np.random.default_rng([cfg.rng_seed, 66])
+    X = gen_covariates(cfg.n + 1, rng)
+    y = gen_response(cfg, X, rng)
+    data, x_new = Dataset(y[:-1], X[:-1]), X[-1]
+    iv = full_cp(data, x_new, M2, kind, FullConfig(0.1))
+    assert not iv.empty
+    base = fit(data, M2)
+    for end in (iv.lower, iv.upper):
+        assert indicator(end, data, x_new, M2, kind, 0.1, init=base.params)
+
+
+def test_full_cp_fails_when_a_cold_retry_fails(monkeypatch):
+    # every refit starts from the base fit, so a failed one is retried once
+    # cold, and the failure of that retry is final
     data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
     calls = []
 
@@ -484,11 +526,46 @@ def test_full_cp_does_not_retry_a_refit_that_started_from_the_base_fit(monkeypat
     assert calls[0] is not None and calls[1:] == [None]
 
 
+def test_full_cp_margins_depend_on_the_candidate_alone(monkeypatch):
+    # every refit full_cp makes is the lone refit of its candidate from the
+    # base fit, bit for bit, or the lone cold one where that did not converge:
+    # the search's path changes no margin
+    cons, X, test_rows = _bodyfat_split(0, 0)
+    cases = [(cons, X[test_rows[0]], ModelSpec(family), kind) for family, kind in ANALYSIS_BATTERY]
+    data, x_new, _ = make_scenario_data(Scenario.TRANSFORM_HETERO, 20, None, seed=1210)
+    cases.append((data, x_new, M2, ScoreKind.PEARSON))
+    real = conformal._margins
+    for data, x_new, spec, kind in cases:
+        calls = []
+
+        def recording(ys, ws, kind, alpha, init=None):
+            refits = real(ys, ws, kind, alpha, init)
+            calls.append((list(ys), init, refits))
+            return refits
+
+        monkeypatch.setattr(conformal, "_margins", recording)
+        full_cp(data, x_new, spec, kind, FullConfig(0.1))
+        monkeypatch.undo()
+        base = fit(data, spec)
+        ws = _Likelihood(data, spec.family, x_new)
+        assert any(len(ys) > 1 for ys, _, _ in calls)
+        for ys, init, refits in calls:
+            if init is not None:
+                np.testing.assert_array_equal(init, base.params)
+            for y, refit in zip(ys, refits):
+                alone = real([y], ws, kind, 0.1, init)[0]
+                assert refit.converged == alone.converged
+                if alone.converged:
+                    assert refit.margin == alone.margin
+
+
 @pytest.mark.parametrize("spec,scenario,disp,kind", CERTIFIED_CASES)
 def test_refit_warm_started_from_a_neighbour_matches_a_cold_fit(spec, scenario, disp, kind):
-    # full_cp starts each refit from the nearest candidate already fitted
+    # the bootstrap starts each fit from another fit's parameters, and
+    # full_cp each refit from the base fit
     data, x_new, _ = make_scenario_data(scenario, 100, disp, seed=1400)
     candidates = np.linspace(0.02, 0.98, 9)
+    base = fit(data, spec)
     prev = fit(data.augmented(candidates[0], x_new), spec)
     ws = _Likelihood(data, spec.family, x_new)
     for y in candidates[1:]:
@@ -497,10 +574,10 @@ def test_refit_warm_started_from_a_neighbour_matches_a_cold_fit(spec, scenario, 
         warm = fit(aug, spec, init=prev.params)
         assert warm.converged == cold.converged
         np.testing.assert_allclose(warm.params, cold.params, rtol=0.0, atol=1e-6)
-        m_warm = conformal._margin(y, ws, kind, 0.1, prev.params).margin
+        m_base = conformal._margin(y, ws, kind, 0.1, base.params).margin
         m_cold = conformal._margin(y, ws, kind, 0.1).margin
         # both fits stop at the gradient tolerance, some 1e-7 apart in m4's parameters
-        assert m_warm == pytest.approx(m_cold, abs=1e-5)
+        assert m_base == pytest.approx(m_cold, abs=1e-5)
         prev = warm
 
 
@@ -732,20 +809,22 @@ def test_an_included_end_cell_is_the_endpoint(side):
 
 @pytest.mark.parametrize("spec,kind", VALID_PAIRS[::2])
 def test_the_first_batch_holds_the_first_point_and_the_end_cells(monkeypatch, spec, kind):
-    # one batch from the base fit; the transform families have no end cells
+    # both first points, then the end cells, in one batch; the transform
+    # families have no end cells; every refit starts from the base fit
     tol = FullConfig.tolerance
     scenario, disp = SCENARIO_OF[spec]
     data, x_new, _ = make_scenario_data(scenario, 40, disp, seed=52)
     predicted, base = _predicted(data, x_new, spec, kind)
     calls = _fake_margins(monkeypatch, _interval_margin(predicted.lower, predicted.upper))
     full_cp(data, x_new, spec, kind, FullConfig(0.1))
-    ys, init = calls[0]
-    np.testing.assert_array_equal(init, base.params)
+    for _, init in calls:
+        np.testing.assert_array_equal(init, base.params)
     if spec.family.is_beta:
-        first = _first_points(0.0, 1.0, tol, (predicted.lower, predicted.upper))[0]
-        assert ys == [first, *END_CELLS]
+        first = _first_points(0.0, 1.0, tol, (predicted.lower, predicted.upper))
+        assert calls[0][0] == [*first, *END_CELLS]
     else:
-        assert ys == [pytest.approx(float(expit(logit(predicted.lower) + 0.25 * tol)), rel=1e-12)]
+        guesses = logit(np.array([predicted.lower, predicted.upper]))
+        assert calls[0][0] == pytest.approx(expit(guesses + [0.25 * tol, -0.25 * tol]).tolist(), rel=1e-12)
     assert not any(cell in ys for ys, _ in calls[1:] for cell in END_CELLS)
 
 
@@ -763,6 +842,21 @@ def test_an_end_cell_that_fails_in_the_batch_is_refitted_cold_once(monkeypatch, 
 def test_an_end_cell_that_fails_cold_too_fails_the_interval(monkeypatch, cell):
     with pytest.raises(NonConvergence, match="candidate"):
         _fake_full_cp(monkeypatch, _interval_margin(0.2, 0.6), lambda y, call: y == cell)
+
+
+def test_full_cp_retries_any_failed_refit_once_cold(monkeypatch):
+    # the refits of a search probe, not only of an end cell, that fail from
+    # the base fit are retried cold one by one, and the search goes on as if
+    # they had not failed
+    margin_of = _interval_margin(0.2, 0.6)
+    with pytest.MonkeyPatch.context() as mp:
+        clean, _ = _fake_full_cp(mp, margin_of)
+    iv, calls = _fake_full_cp(monkeypatch, margin_of, lambda y, call: call == 1)
+    assert (iv.lower, iv.upper) == (clean.lower, clean.upper)
+    failed, init = calls[1]
+    assert init is not None and not set(failed) & set(END_CELLS)
+    assert calls[2 : 2 + len(failed)] == [([y], None) for y in failed]
+    assert sum(init is None for _, init in calls) == len(failed)
 
 
 @pytest.mark.parametrize("rep,cell", [(46, END_CELLS[1]), (172, END_CELLS[0])])
@@ -834,6 +928,7 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
     perm = np.random.default_rng([1, 0]).permutation(data.n)
     cons = Dataset(data.y[perm[n_test:]], data.X[perm[n_test:]])
     fits = cold = 0  # base fits and refits, counted where full_cp makes them
+    solves = 0  # batched solves of at least one refit, one after another
     iterations = 0  # Newton iterations of the refits; m1's closed form takes none
     real_fit, real_margins = conformal.fit, conformal._margins
 
@@ -845,8 +940,9 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
 
     def counting_margins(ys, ws, kind, alpha, init=None):
         # every refit passes here (_margin is a batch of one): each member counts
-        nonlocal fits, cold, iterations
+        nonlocal fits, cold, solves, iterations
         fits += len(ys)
+        solves += bool(ys)
         refits = real_margins(ys, ws, kind, alpha, init)
         if init is None:
             cold += len(ys)
@@ -862,29 +958,39 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
             intervals += 1
     assert fits / intervals <= 9.5
     assert cold == 4  # one base fit per family: every test point shares the dataset
-    assert iterations / intervals <= 20.5
+    # both edges search in lockstep; the iterations are the price of
+    # starting every refit from the base fit
+    assert solves / intervals <= 4.5
+    assert iterations / intervals <= 29.5
+
+
+def _batched(margin):
+    """The margins of a list of points, as ``_search`` takes them, from a
+    margin of one point."""
+    return lambda us: [margin(u) for u in us]
 
 
 def _recording(margin):
-    calls = []
+    """``_batched(margin)`` and the list of every batch it is called with."""
+    batches = []
 
-    def wrapped(u):
-        calls.append(u)
-        return margin(u)
+    def margins(us):
+        batches.append(list(us))
+        return [margin(u) for u in us]
 
-    return wrapped, calls
+    return margins, batches
 
 
 def test_search_expands_when_the_centre_is_excluded():
     tol = 1e-4
-    margin, calls = _recording(lambda u: abs(u - 0.7) - 0.1)
-    lower, upper = _search(margin, (0.2, -0.1), 0.0, 1.0, tol, (0.1, 0.3))
+    margins, batches = _recording(lambda u: abs(u - 0.7) - 0.1)
+    lower, upper = _search(margins, (0.2, -0.1), 0.0, 1.0, tol, (0.1, 0.3))
     # the guesses, each a quarter tolerance inward, then the centre
-    assert calls[:3] == pytest.approx([0.1 + 0.25 * tol, 0.3 - 0.25 * tol, 0.2], abs=1e-15)
+    assert batches[:2] == [pytest.approx([0.1 + 0.25 * tol, 0.3 - 0.25 * tol], abs=1e-15), [0.2]]
     assert 0.6 <= lower < 0.6 + tol
     assert 0.8 - tol < upper <= 0.8
     # every probe keeps tol/2 from the range ends and from every other probe
-    points = np.sort(np.concatenate([[0.0, 1.0], calls]))
+    points = np.sort(np.concatenate([[0.0, 1.0], *batches]))
     assert np.min(np.diff(points)) >= 0.5 * tol * (1.0 - 1e-9)
 
 
@@ -892,9 +998,9 @@ def test_search_expands_when_the_centre_is_excluded():
 def test_search_skips_the_centre_when_both_guesses_are_included(estimate):
     # the centre's estimated margin only steers the first secant steps
     tol = 1e-4
-    margin, calls = _recording(lambda u: abs(u - 0.5) - 0.2)
-    lower, upper = _search(margin, (0.5, estimate), 0.0, 1.0, tol, (0.35, 0.65))
-    assert 0.5 not in calls
+    margins, batches = _recording(lambda u: abs(u - 0.5) - 0.2)
+    lower, upper = _search(margins, (0.5, estimate), 0.0, 1.0, tol, (0.35, 0.65))
+    assert not any(0.5 in batch for batch in batches)
     assert 0.3 <= lower < 0.3 + tol
     assert 0.7 - tol < upper <= 0.7
 
@@ -905,7 +1011,8 @@ def test_search_endpoints_keep_clear_of_the_edge(guesses):
     # may change sign with the fit's start: probes aimed at an estimated
     # edge go a quarter tolerance inside it
     tol = 1e-4
-    lower, upper = _search(lambda u: abs(u - 0.5) - 0.2, (0.5, -0.2), 0.0, 1.0, tol, guesses)
+    margins = _batched(lambda u: abs(u - 0.5) - 0.2)
+    lower, upper = _search(margins, (0.5, -0.2), 0.0, 1.0, tol, guesses)
     assert 0.3 + 0.1 * tol < lower < 0.3 + tol
     assert 0.7 - tol < upper < 0.7 - 0.1 * tol
 
@@ -915,22 +1022,54 @@ def test_search_walks_to_the_range_end_when_everything_is_included():
     # the region reaches both range ends
     tol = 1e-4
     lower, upper = _search(
-        lambda u: -math.inf, (0.3, -math.inf), 0.0, 1.0, tol, (-math.inf, math.inf)
+        _batched(lambda u: -math.inf), (0.3, -math.inf), 0.0, 1.0, tol, (-math.inf, math.inf)
     )
     assert 0.0 < lower <= tol
     assert 1.0 - tol <= upper < 1.0
 
 
 def test_search_reports_an_empty_region():
-    margin, calls = _recording(lambda u: 1.0)
-    assert _search(margin, (0.5, -1.0), 0.0, 1.0, 1e-2, (0.4, 0.6)) is None
-    assert len(calls) < 2 / 1e-2 + 1
+    margins, batches = _recording(lambda u: 1.0)
+    assert _search(margins, (0.5, -1.0), 0.0, 1.0, 1e-2, (0.4, 0.6)) is None
+    assert sum(map(len, batches)) < 2 / 1e-2 + 1
 
 
 def test_search_stops_at_float_resolution():
     # a tolerance below the float spacing must not stall the bracket
     lower, upper = _search(
-        lambda u: abs(u - 0.3) - 0.1, (0.3, -0.1), 0.0, 1.0, 1e-20, (0.25, 0.35)
+        _batched(lambda u: abs(u - 0.3) - 0.1), (0.3, -0.1), 0.0, 1.0, 1e-20, (0.25, 0.35)
     )
     assert lower == pytest.approx(0.2, abs=1e-15)
     assert upper == pytest.approx(0.4, abs=1e-15)
+
+
+def _edge_alone(edge, margin):
+    """Run an ``_edge`` search one probe at a time: (its probes, its bound)."""
+    probes = []
+    try:
+        u = next(edge)
+        while True:
+            probes.append(u)
+            u = edge.send(margin(u))
+    except StopIteration as stop:
+        return probes, stop.value
+
+
+def test_search_advances_both_edges_in_lockstep():
+    # after the first batch, each batch holds the next probe of every edge
+    # still open, and each edge probes what it would probe alone
+    tol = 1e-4
+
+    def margin(u):
+        return max(0.3 - u, 40.0 * (u - 0.7) ** 3)  # flat at the upper edge, which takes more probes
+
+    centre, guesses = (0.5, -0.2), (0.35, 0.65)
+    margins, batches = _recording(margin)
+    bounds = _search(margins, centre, 0.0, 1.0, tol, guesses)
+    first = _first_points(0.0, 1.0, tol, guesses)
+    assert batches[0] == first
+    lower, lo = _edge_alone(conformal._edge((first[0], margin(first[0])), (0.0, None), tol, centre), margin)
+    upper, hi = _edge_alone(conformal._edge((first[1], margin(first[1])), (1.0, None), tol, centre), margin)
+    assert len(lower) < len(upper)
+    assert bounds == (lo, hi)
+    assert batches[1:] == [[u for u in pair if u is not None] for pair in itertools.zip_longest(lower, upper)]
