@@ -316,8 +316,6 @@ class _Likelihood:
     def take(self, members: np.ndarray) -> "_Likelihood":
         """The workspace of the batch members ``members`` (indices of rows
         of the responses), sharing the designs."""
-        if len(members) == len(self.y):  # members only ever shrink, so these are all of them
-            return self
         sub = copy.copy(self)
         sub.y, sub.log_y, sub.log_1my, sub.z = (a[members] for a in (self.y, self.log_y, self.log_1my, self.z))
         return sub
@@ -471,28 +469,27 @@ def _take(rows, members):
 
 def _pd_steps(H: np.ndarray, g: np.ndarray):
     """-H^-1 g per member, and a list telling per member whether its H is
-    not finite, positive definite and solvable (its step is meaningless).
-    The members are solved together, and one by one only when that fails,
-    so one member's matrix never decides another's step."""
+    not finite, positive definite and solvable; such a member's step is
+    zero.  The members are solved together, and one by one only when that
+    fails, so one member's matrix never decides another's step."""
     if np.isfinite(H).all():
         try:
             np.linalg.cholesky(H)
             return -np.linalg.solve(H, g[..., None])[..., 0], [False] * len(g)
         except np.linalg.LinAlgError:
             pass
-    if len(g) == 1:
-        return g, [True]
     step, failed = np.zeros_like(g), [True] * len(g)
-    for i in np.flatnonzero(np.isfinite(H).all(axis=(1, 2))):
-        one, (failed[i],) = _pd_steps(H[i : i + 1], g[i : i + 1])
-        step[i] = one[0]
+    if len(g) > 1:
+        for i in np.flatnonzero(np.isfinite(H).all(axis=(1, 2))):
+            one, (failed[i],) = _pd_steps(H[i : i + 1], g[i : i + 1])
+            step[i] = one[0]
     return step, failed
 
 
 def _newton_direction(lik: _Likelihood, rows, g: np.ndarray):
     """Per member, -H^-1 g for the observed Hessian, or for the expected
     information where the Hessian is not positive definite, and a list
-    telling which members have neither.
+    telling which members have neither; their step is zero.
 
     ``rows`` is the derivative pass at the current points.  Where the
     iterates drift off (no MLE), the entries can span so many orders of
@@ -513,18 +510,22 @@ def _newton_direction(lik: _Likelihood, rows, g: np.ndarray):
 
 def _newton(lik: _Likelihood, x: np.ndarray):
     """Damped Newton iterations from each row of ``x``, one batch member per
-    row of the workspace's responses, until a member's relative gradient
-    meets ``GTOL``, no step of it is acceptable, or ``MAX_ITER`` iterations
-    have run.
+    row of the workspace's responses.
 
     Each member follows the path it would follow alone: its own step (the
     observed Hessian, or the expected information where that is not
-    positive definite), its own line search and its own tests, and it
-    leaves the batch when it stops; the members only share the passes over
-    the data.  Every point tried gets one :meth:`_Likelihood.evaluate`
-    pass, so an accepted trial point already carries the derivative pass
-    from which the next step's gradient and Hessian are built.  Steps are
-    halved until they satisfy the Armijo condition.  Near an optimum the
+    positive definite), its own line search and its own tests; the members
+    only share the passes over the data.  A member leaves the batch at one
+    of two points of a round.  Before its step, when its relative gradient
+    meets ``GTOL`` or ``MAX_ITER`` rounds have run; it has converged when
+    it met the test.  After the line search, unconverged, when it had no
+    usable direction (its step is zero) or no acceptable step; it keeps
+    the point, objective and derivative pass it started the round with.
+
+    Every point tried gets one :meth:`_Likelihood.evaluate` pass, so an
+    accepted trial point already carries the derivative pass from which
+    the next step's gradient and Hessian are built.  Steps are halved
+    until they satisfy the Armijo condition.  Near an optimum the
     objective is flat to rounding noise while the gradient may not yet
     have converged, so the condition allows an increase of up to
     ``SLACK * max(1, |f|)``.  Runs under the caller's ``np.errstate``.
@@ -537,37 +538,32 @@ def _newton(lik: _Likelihood, x: np.ndarray):
     g = lik.gradient_from(rows)
     converged, iterations = [False] * len(x), [0] * len(x)
     ids = list(range(len(x)))  # each active member's position in the batch
-    left = []  # (positions, x, f, mean, spread) of members that stopped before the last ones
+    left = []  # (positions, x, f, mean, spread) of members that left before the last ones
 
-    def stop(members: list, met: list, it: int) -> bool:
-        """The members flagged in ``members`` stop at iteration ``it``, with
-        ``met`` telling whether each met the gradient test; returns whether
-        any others remain."""
-        nonlocal lik, ids, x, f, g, rows
-        for i, stops, m in zip(ids, members, met):
-            if stops:
+    def leave(stops: list, met: list, it: int) -> list:
+        """Record the members flagged in ``stops`` as stopped at iteration
+        ``it`` at the round's start values, ``met`` telling whether each met
+        the gradient test; returns the indices of the others in the batch."""
+        for i, s, m in zip(ids, stops, met):
+            if s:
                 converged[i], iterations[i] = m, it
-        if False not in members:
-            return False
-        mask = np.array(members)
-        at = [i for i, stops in zip(ids, members) if stops]
-        left.append((at, x[mask], [v for v, stops in zip(f, members) if stops], rows[2][mask], rows[3][mask]))
-        rest = ~mask
-        ids = [i for i, stops in zip(ids, members) if not stops]
-        f = [v for v, stops in zip(f, members) if not stops]
-        lik, x, g, rows = lik.take(np.flatnonzero(rest)), x[rest], g[rest], _take(rows, rest)
-        return True
+        stay = [j for j, s in enumerate(stops) if not s]
+        if stay:
+            gone = [j for j, s in enumerate(stops) if s]
+            left.append(([ids[j] for j in gone], x[gone], [f[j] for j in gone], rows[2][gone], rows[3][gone]))
+        return stay
 
     # the scalar tests of each member run in Python, on its own floats
-    for it in range(MAX_ITER):
+    for it in range(MAX_ITER + 1):
         met = _met_gtol(g, x, f)
-        if True in met and not stop(met, met, it):
-            break
-        step, failed = _newton_direction(lik, rows, g)
-        if True in failed:
-            if not stop(failed, [False] * len(failed), it):
+        stops = met if it < MAX_ITER else [True] * len(met)
+        if True in stops:
+            stay = leave(stops, met, it)
+            if not stay:
                 break
-            step = step[[not v for v in failed]]
+            ids, lik, x, g = [ids[j] for j in stay], lik.take(stay), x[stay], g[stay]
+            f, rows = [f[j] for j in stay], _take(rows, stay)
+        step, failed = _newton_direction(lik, rows, g)
         descent = [ARMIJO_C * d for d in _rowdot(g, step).tolist()]
         slack = [SLACK * max(1.0, abs(v)) for v in f]
         t, x_new = [1.0] * len(f), x + step
@@ -578,21 +574,14 @@ def _newton(lik: _Likelihood, x: np.ndarray):
                 break
             t = [0.5 * c if r else c for c, r in zip(t, refused)]
             x_new = x + np.array(t)[:, None] * step
-        else:  # no acceptable step: these members stop where they are
-            stuck = np.array(refused)
-            x_new[stuck] = x[stuck]
-            f_new = [b if r else a for a, b, r in zip(f_new, f, refused)]
-            for r_new, r in zip(rows_new, rows):
-                r_new[stuck] = r[stuck]
-            x, f, rows = x_new, f_new, rows_new
-            if not stop(refused, [False] * len(refused), it):
+        if True in failed or True in refused:
+            stay = leave([a or b for a, b in zip(failed, refused)], [False] * len(ids), it)
+            if not stay:
                 break
-            g = lik.gradient_from(rows)
-            continue
+            ids, lik = [ids[j] for j in stay], lik.take(stay)
+            x_new, f_new, rows_new = x_new[stay], [f_new[j] for j in stay], _take(rows_new, stay)
         x, f, rows = x_new, f_new, rows_new
         g = lik.gradient_from(rows)
-    else:
-        stop([True] * len(ids), _met_gtol(g, x, f), MAX_ITER)
     if not left:
         return x, np.array(f), converged, iterations, rows[2], rows[3]
     out = [np.empty((len(converged),) + np.shape(a)[1:]) for a in (x, f, rows[2], rows[3])]

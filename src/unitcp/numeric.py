@@ -163,9 +163,11 @@ def beta_cdf(y, p: BetaParams):
 def beta_quantile(u, p: BetaParams):
     """Inverse beta CDF: the y in (0,1) with beta_cdf(y, p) = u.
 
-    Starts from scipy's inverse and polishes with safeguarded Newton steps
-    (bracketed, so each iterate stays inside a shrinking interval known to
-    contain the root) until the CDF residual is below 1e-10.  When the true
+    Starts from scipy's inverse, or from the normal approximation where
+    that is not finite (shapes near 1e17), and polishes with safeguarded
+    Newton steps (bracketed, so each iterate stays inside a shrinking
+    interval known to contain the root) until the CDF residual is below
+    1e-10.  When the true
     quantile lies below the smallest positive double (tiny shapes, small
     u), it returns that double, 5e-324, whose CDF exceeds u.
     """
@@ -173,9 +175,10 @@ def beta_quantile(u, p: BetaParams):
     a, b = p.alpha, p.beta
     inner_lo = np.nextafter(0.0, 1.0)
     inner_hi = np.nextafter(1.0, 0.0)
-    y = np.clip(sp.betaincinv(a, b, uu), inner_lo, inner_hi)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     flat_u = np.atleast_1d(uu)
+    y = np.atleast_1d(np.asarray(sp.betaincinv(a, b, uu), dtype=float))
+    y = np.where(np.isfinite(y), y, p.mu + sp.ndtri(flat_u) * np.sqrt(p.variance))
+    y = np.clip(y, inner_lo, inner_hi)
 
     lo = np.zeros_like(y)
     hi = np.ones_like(y)

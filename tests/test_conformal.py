@@ -742,6 +742,38 @@ def test_a_member_without_a_positive_definite_hessian_steps_alone(monkeypatch):
         _same_refit(refit, _alone(y, ws, ScoreKind.PEARSON, None))
 
 
+def test_a_member_without_any_usable_matrix_leaves_the_others_alone(monkeypatch):
+    # m4 at n = 60, three candidates from the base fit: in round one the
+    # middle member's observed and expected matrices are unusable, so it
+    # stops where it started, and the others step as they would alone
+    data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN_DISP, 60, None, seed=3)
+    start = fit(data, M4).params
+    ws = _Likelihood(data, M4.family, x_new)
+    ys = np.quantile(data.y, [0.1, 0.5, 0.9]).tolist()
+    alone = [_alone(y, ws, ScoreKind.PEARSON, start) for y in ys]
+    passes = []  # (members, expected) of every Hessian pass
+    real = _Likelihood.hessian_from
+
+    def spy(self, rows, expected=False):
+        H = real(self, rows, expected)
+        passes.append((len(H), expected))
+        if len(passes) == 1:
+            H[1] = np.nan  # the middle member's observed matrix
+        elif len(passes) == 2:
+            H[0] = np.nan  # its expected matrix, the only one asked for
+        return H
+
+    monkeypatch.setattr(_Likelihood, "hessian_from", spy)
+    batch = conformal._margins(ys, ws, ScoreKind.PEARSON, 0.1, start)
+    monkeypatch.undo()
+    assert passes[:2] == [(3, False), (1, True)]
+    assert (batch[1].converged, batch[1].iterations) == (False, 0)
+    np.testing.assert_array_equal(batch[1].params, start)
+    for i in (0, 2):
+        assert batch[i].converged and (batch[i].margin, batch[i].iterations) == (alone[i].margin, alone[i].iterations)
+        np.testing.assert_array_equal(batch[i].params, alone[i].params)
+
+
 # ---------------------------------------------------------------------------
 # the end cells
 
@@ -895,6 +927,36 @@ def test_full_cp_searches_when_the_predicted_interval_is_the_whole_range(spec):
     assert 0.0 < iv.lower < 1e-3 and 1.0 - 1e-3 < iv.upper < 1.0
     for y_edge in (iv.lower, iv.upper):
         assert indicator(y_edge, data, x_new, spec, kind, 0.1, init=base.params)
+
+
+def test_full_cp_searches_from_the_centre_when_no_logit_guess_is_in_range(monkeypatch):
+    # m2 with a steep log sd at x_new = 5: both edge guesses lie outside
+    # (-LOGIT_LIMIT, LOGIT_LIMIT), so the first batch is empty and the
+    # centre goes in alone; the set reaches the last cell on both sides
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=30)
+    z = 0.3 + 0.5 * x + rng.normal(size=30) * np.exp(0.8 * x)
+    data, x_new, kind = Dataset(expit(z), x[:, None]), np.array([5.0]), ScoreKind.PEARSON
+    predicted, base = _predicted(data, x_new, M2, kind)
+    with np.errstate(divide="ignore"):  # the upper guess is 1
+        guesses = conformal._log_odds(np.array([predicted.lower, predicted.upper]))
+    limit, step = conformal.LOGIT_LIMIT, FullConfig.grid_step
+    assert _first_points(-limit, limit, step, guesses) == []
+    calls = []
+    real = conformal._margins
+
+    def spy(ys, *args):
+        calls.append(list(ys))
+        return real(ys, *args)
+
+    monkeypatch.setattr(conformal, "_margins", spy)
+    iv = full_cp(data, x_new, M2, kind, FullConfig(0.1))
+    monkeypatch.undo()
+    assert calls[:2] == [[], [float(expit(float(base.predict(x_new)[0])))]]
+    assert 0.0 < iv.lower < 1e-15 and 1.0 - 1e-15 < iv.upper < 1.0
+    for y_edge in (iv.lower, iv.upper):
+        assert indicator(y_edge, data, x_new, M2, kind, 0.1, init=base.params)
+        assert indicator(y_edge, data, x_new, M2, kind, 0.1)
 
 
 def test_full_cp_and_fits_raise_no_floating_point_warnings():

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import polygamma
+from scipy.special import betaincinv, ndtri, polygamma
 
 from unitcp import (
     BetaParams,
@@ -153,6 +153,18 @@ def test_beta_quantile_below_smallest_double_warns_nothing():
         y = beta_quantile(1e-4, p)
     assert y == np.nextafter(0.0, 1.0)
     assert beta_cdf(y, p) > 1e-4
+
+
+@pytest.mark.parametrize("u", [1e-12, 0.05, 0.5, 0.95, 1.0 - 1e-12])
+def test_beta_quantile_at_shapes_where_scipy_gives_no_start(u):
+    # betaincinv returns nan at shapes near 1e17 (a drifted m4 fit's); the
+    # start then comes from the normal approximation, which is all but exact
+    # there.  A midpoint start would stop at a y whose CDF is 0 or 1, within
+    # 1e-10 of u = 1e-12 or 1 - 1e-12.
+    p = BetaParams(0.1013, 8e17)
+    assert np.isnan(betaincinv(p.alpha, p.beta, u))
+    y = beta_quantile(u, p)
+    assert (y - p.mu) / np.sqrt(p.variance) == pytest.approx(ndtri(u), abs=0.01)
 
 
 def test_beta_domain_errors():

@@ -1,16 +1,20 @@
 """Scenario generators, coverage harness, bootstrap baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from unitcp import (
     Dataset,
+    FitError,
     FullConfig,
     Method,
     PredictionInterval,
     Scenario,
     ScenarioConfig,
     ScoreKind,
+    SingularDesign,
     SplitConfig,
     bootstrap_interval,
     expit,
@@ -166,6 +170,17 @@ def test_diverging_fit_is_redrawn_not_raised():
     assert rep.failures_replaced >= 1
 
 
+def test_split_replication_with_a_drifted_m4_fit_returns():
+    """This n=30 replication's m4 fit drifts to precisions near 1e17 and
+    still reports converged; the quantile score's beta quantiles there
+    have no scipy start, and the replication must still give an interval."""
+    cfg = ScenarioConfig(Scenario.BETA_MEAN_DISP, 30, rng_seed=3979785183)
+    rep = run_coverage(cfg, M4, ScoreKind.QUANTILE, Method.SPLIT, 0.1, 1)
+    assert rep.replications == 1
+    assert rep.failures_replaced == 0
+    assert 0.0 < rep.avg_width < 1.0
+
+
 def test_coverage_report_reproducible():
     cfg = ScenarioConfig(Scenario.BETA_MEAN, 80, 10.0, rng_seed=21)
     a = run_coverage(cfg, M3, ScoreKind.QUANTILE, Method.SPLIT, 0.1, 40)
@@ -242,6 +257,44 @@ def test_bootstrap_interval_basics():
     assert (iv.lower, iv.upper) == (again.lower, again.upper)
     with pytest.raises(ValueError):
         bootstrap_interval(data, x_new, M4, 0.1, 50, seed=4)
+
+
+def _failing_fits(monkeypatch, failing):
+    """Make ``simlab.fit`` fail at the call numbers (from 0, the base fit)
+    in ``failing``: by raising ``SingularDesign``, or with a non-converged
+    model.  Returns the datasets of every call."""
+    seen = []
+    real = simlab.fit
+
+    def fake(data, spec, **kwargs):
+        seen.append(data)
+        how = failing.get(len(seen) - 1)
+        if how == "singular":
+            raise SingularDesign("resample design is rank deficient")
+        model = real(data, spec, **kwargs)
+        return dataclasses.replace(model, converged=False) if how == "unconverged" else model
+
+    monkeypatch.setattr(simlab, "fit", fake)
+    return seen
+
+
+def test_bootstrap_redraws_a_resample_whose_fit_fails(monkeypatch):
+    data, x_new = _bodyfat_like(80, 1), np.array([0.2, -0.4])
+    seen = _failing_fits(monkeypatch, {3: "singular", 40: "unconverged"})
+    iv = bootstrap_interval(data, x_new, M3, 0.1, 100, seed=4)
+    assert 0.0 < iv.lower < iv.upper < 1.0
+    assert len(seen) == 1 + 100 + 2  # the base fit, B resamples and two redraws
+    for failed in (3, 40):
+        assert not np.array_equal(seen[failed].y, seen[failed + 1].y)
+
+
+def test_bootstrap_raises_when_a_resample_fails_four_times(monkeypatch):
+    data, x_new = _bodyfat_like(80, 1), np.array([0.2, -0.4])
+    failing = {3: "singular", 4: "unconverged", 5: "singular", 6: "unconverged"}
+    seen = _failing_fits(monkeypatch, failing)
+    with pytest.raises(FitError):
+        bootstrap_interval(data, x_new, M3, 0.1, 100, seed=4)
+    assert len(seen) == 7
 
 
 def test_bootstrap_replicate_count_stability():
