@@ -14,6 +14,10 @@ The sets:
   split,full, 100 split and 20 full replications per cell;
 * ``bodyfat-full``: full-CP endpoints on body fat for ``analyze``'s splits
   ``rng=[s, 0]``, s = 0..2, for the six ``ANALYSIS_BATTERY`` pairs;
+* ``bodyfat-battery``: the same endpoints from ``full_cp`` called
+  directly, in the order of the ``full-bodyfat`` benchmark workload: the
+  six pairs inside the loop over test rows, on one dataset per split, with
+  each beta family's quantile pair before its Pearson pair on odd rows;
 * ``cold-fits``: cold fits of m1-m4 on their scenarios at n = 16 and 30,
   150 seeds each: params, converged, iterations and loglik.
 
@@ -30,7 +34,20 @@ from pathlib import Path
 
 import numpy as np
 
-from unitcp import Dataset, ModelFamily, ModelSpec, Scenario, ScenarioConfig, cli, fit, gen_covariates, gen_response
+from unitcp import (
+    Dataset,
+    FullConfig,
+    ModelFamily,
+    ModelSpec,
+    Scenario,
+    ScenarioConfig,
+    ScoreKind,
+    cli,
+    fit,
+    full_cp,
+    gen_covariates,
+    gen_response,
+)
 
 CPU_COLUMNS = {"cpu_mean", "cpu_sd"}
 
@@ -89,6 +106,22 @@ def bodyfat_full(out: Path):
     yield "bodyfat-full", _digest(lines), len(lines) - 3
 
 
+def bodyfat_battery(out: Path):
+    data = cli.load_csv(cli.bodyfat_path())
+    n_test = round(0.1 * data.n)
+    families = [family for family, _ in cli.ANALYSIS_BATTERY]
+    swapped = sorted(cli.ANALYSIS_BATTERY, key=lambda p: (families.index(p[0]), p[1] is ScoreKind.PEARSON))
+    lines = []
+    for s in range(3):
+        perm = np.random.default_rng([s, 0]).permutation(data.n)
+        cons = Dataset(data.y[perm[n_test:]], data.X[perm[n_test:]])
+        for row, i in enumerate(perm[:n_test]):
+            for family, kind in swapped if row % 2 else cli.ANALYSIS_BATTERY:
+                iv = full_cp(cons, data.X[i], ModelSpec(family), kind, FullConfig(0.1))
+                lines.append(f"{s},{i},{family.value},{kind.value},{iv.lower!r},{iv.upper!r}")
+    yield "bodyfat-battery", _digest(lines), len(lines)
+
+
 def cold_fits(out: Path):
     lines = []
     for family, scenario in FAMILY_SCENARIO.items():
@@ -105,7 +138,7 @@ def cold_fits(out: Path):
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for output_set in (analyze, simulate, bodyfat_full, cold_fits):
+        for output_set in (analyze, simulate, bodyfat_full, bodyfat_battery, cold_fits):
             for name, digest, rows in output_set(Path(tmp)):
                 print(f"{name:24s} {digest}  ({rows} rows)", flush=True)
     return 0

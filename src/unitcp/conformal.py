@@ -28,7 +28,9 @@ need not be one interval, and full CP returns the hull of the included
 points it finds.  For the beta families these include the two end cells,
 y = tol/2 and 1 - tol/2, which are refitted together with the search's
 first points in one batch: an included end cell is the interval's
-endpoint on its side.
+endpoint on its side.  Their refits do not depend on the score, so the
+dataset keeps their converged parameters per family and new row, and the
+other score kind's interval starts them there.
 """
 
 from __future__ import annotations
@@ -270,7 +272,8 @@ def _margins(ys, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> l
     written into that row of its own batch member, the family is refitted
     for every member in one batched solve, and each member's n + 1 scores
     are taken from the fitted values of its last derivative pass; every
-    refit starts from the parameter vector ``init``, or cold without it.
+    refit starts from the parameter vector ``init``, or from its own row
+    of a (members, K) ``init``, or cold without it.
     A member's margin is the candidate's score minus the
     :func:`conformal_quantile` of the other n scores, their k-th smallest
     with k = ceil((1 - alpha)(n + 1)).  The candidate is in the conformal
@@ -502,7 +505,14 @@ def full_cp(
     dataset, so the intervals of several new points share it.  Every
     refit starts from the base fit, which depends on the data alone, so
     each candidate's margin depends on the candidate alone and not on the
-    search's path.  The search hands its points over in batches (see
+    search's path.  Nor does it depend on the score, so the dataset also
+    keeps the end cells' converged parameter vectors, two per beta family
+    and new row (160 bytes of floats for m3 and 288 for m4 at p = 8), and
+    a later call for that family and row, of either score kind, puts its
+    end cells into the first batch at those parameters: they converge
+    there after no iteration, with the bits of their first refit, and
+    only the score is read off again.  End cells whose refit fails are
+    not kept.  The search hands its points over in batches (see
     :func:`_search`), each refitted in one batched solve (see
     :func:`_margins`).  A member that does not converge is refitted once
     cold, a start that also depends on the candidate alone, and the
@@ -526,18 +536,28 @@ def full_cp(
         to_y, tol, lo, hi = float, cfg.tolerance, 0.0, 1.0
         guesses = (predicted.lower, predicted.upper)
         cells = [0.5 * tol, 1.0 - 0.5 * tol]
+        key = (spec, x_new.tobytes())
+        kept = data._end_cells.get(key, {})
     else:
         to_y, tol, lo, hi = (lambda u: float(expit(u))), cfg.grid_step, -LOGIT_LIMIT, LOGIT_LIMIT
         with np.errstate(divide="ignore"):
             guesses = tuple(_log_odds(np.array([predicted.lower, predicted.upper])).tolist())
-        cells = []
+        cells, kept = [], {}
     estimate = float(score(kind, to_y(centre), base, x_new)) - q
     ws = _Likelihood(data, spec.family, x_new)
 
     def margins(us) -> list[float]:
         ys = [to_y(u) for u in us]
-        refits = _margins(ys, ws, kind, cfg.alpha, base_params)
-        return [(r if r.converged else _margin(y, ws, kind, cfg.alpha)).margin for y, r in zip(ys, refits)]
+        if kept.keys().isdisjoint(ys):
+            starts = base_params
+        else:  # kept end cells start where their first refit converged
+            starts = [kept.get(y, base_params) for y in ys]
+        refits = _margins(ys, ws, kind, cfg.alpha, starts)
+        refits = [r if r.converged else _margin(y, ws, kind, cfg.alpha) for y, r in zip(ys, refits)]
+        if cells and not kept:  # the first batch, which holds the end cells
+            kept.update((y, r.params.copy()) for y, r in zip(ys, refits) if y in cells)
+            data._end_cells[key] = kept
+        return [r.margin for r in refits]
 
     found = _search(margins, (centre, estimate), lo, hi, tol, guesses, cells)
     if found is None:
