@@ -10,6 +10,9 @@ The sets:
 
 * ``analyze``: ``unitcp analyze --method split,full --seeds 3`` on the
   bundled body-fat table, its results.csv and intervals.csv;
+* ``analyze-bootstrap``: ``unitcp analyze --method bootstrap --seeds 1
+  --bootstrap-b 100``, its results.csv and intervals.csv in one digest
+  (warm-started resample fits and their predictions);
 * ``simulate``: the n = 30 ``unitcp simulate`` grid, s1-s4 x m1-m4 x
   split,full, 100 split and 20 full replications per cell;
 * ``bodyfat-full``: full-CP endpoints on body fat for ``analyze``'s splits
@@ -21,7 +24,7 @@ The sets:
 * ``cold-fits``: cold fits of m1-m4 on their scenarios at n = 16 and 30,
   150 seeds each: params, converged, iterations and loglik.
 
-It takes about ten seconds on two cores.
+It takes about fifteen seconds on two cores.
 """
 
 from __future__ import annotations
@@ -87,6 +90,14 @@ def analyze(out: Path):
         yield f"analyze/{name}", _digest(lines), rows
 
 
+def analyze_bootstrap(out: Path):
+    path = out / "bootstrap"
+    _run(["analyze", "--method", "bootstrap", "--seeds", "1", "--bootstrap-b", "100", "--output", str(path)])
+    results, result_rows = _csv_lines(path / "results.csv")
+    intervals, interval_rows = _csv_lines(path / "intervals.csv")
+    yield "analyze-bootstrap", _digest(results + intervals), result_rows + interval_rows
+
+
 def simulate(out: Path):
     path = out / "simulate.csv"
     _run(
@@ -138,7 +149,7 @@ def cold_fits(out: Path):
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for output_set in (analyze, simulate, bodyfat_full, bodyfat_battery, cold_fits):
+        for output_set in (analyze, analyze_bootstrap, simulate, bodyfat_full, bodyfat_battery, cold_fits):
             for name, digest, rows in output_set(Path(tmp)):
                 print(f"{name:24s} {digest}  ({rows} rows)", flush=True)
     return 0

@@ -563,35 +563,17 @@ def _cmd_analyze(args) -> int:
 def _interval_row(seed, model, score_name, method_name, index, iv, truth=None):
     """One intervals-CSV row; without a ``truth`` (predict) the truth is nan
     and ``covered`` is empty."""
-    return {
-        "seed": seed,
-        "model": model,
-        "score": score_name,
-        "method": method_name,
-        "test_index": index,
-        "lower": iv.lower,
-        "upper": iv.upper,
-        "truth": float("nan") if truth is None else float(truth),
-        "covered": "" if truth is None else int(iv.contains(truth)),
-    }
+    values = (seed, model, score_name, method_name, index, iv.lower, iv.upper)
+    if truth is None:
+        return dict(zip(INTERVAL_COLUMNS, values + (math.nan, ""), strict=True))
+    return dict(zip(INTERVAL_COLUMNS, values + (float(truth), int(iv.contains(truth))), strict=True))
 
 
 def _results_row(scenario, model, score_name, method_name, n, alpha, report):
     """One results-CSV row from a ``CoverageReport``."""
-    return {
-        "scenario": scenario,
-        "model": model,
-        "score": score_name,
-        "method": method_name,
-        "n": n,
-        "alpha": alpha,
-        "replications": report.replications,
-        "coverage": report.coverage,
-        "avg_width": report.avg_width,
-        "cpu_mean": report.avg_cpu_seconds,
-        "cpu_sd": report.cpu_sd,
-        "failures": report.failures_replaced,
-    }
+    values = (scenario, model, score_name, method_name, n, alpha, report.replications, report.coverage)
+    values += (report.avg_width, report.avg_cpu_seconds, report.cpu_sd, report.failures_replaced)
+    return dict(zip(RESULTS_COLUMNS, values, strict=True))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,11 @@ class PredictionInterval:
         return bool((not self.empty) and self.lower <= y <= self.upper)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class SplitConfig:
     """Settings for split conformal prediction.
@@ -129,8 +134,7 @@ class SplitConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
 
 
 def _calibration_size(n: int) -> int:
@@ -156,8 +160,7 @@ class FullConfig:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
 
 
 def conformal_quantile(scores, alpha: float):
@@ -172,8 +175,7 @@ def conformal_quantile(scores, alpha: float):
     m = s.shape[-1]
     if m == 0:
         raise ValueError("need at least one calibration score")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     k = _conformal_rank(alpha, m)
     if k > m:
         return float("inf")
@@ -298,17 +300,14 @@ def _margins(ys, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> l
     return list(map(_Refit, margins.tolist(), params, iterations, converged))
 
 
-def _converged(refit: _Refit, y: float) -> _Refit:
-    """The refit, which must have converged: a fit that fails to converge
-    raises rather than silently excluding the candidate."""
+def _margin(y: float, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> _Refit:
+    """:func:`_margins` of the single candidate ``y``, which must converge: a
+    fit that fails to converge raises rather than silently excluding the
+    candidate."""
+    refit = _margins([y], ws, kind, alpha, init)[0]
     if not refit.converged:
         raise NonConvergence(f"augmented fit did not converge at candidate {y:.6g}")
     return refit
-
-
-def _margin(y: float, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> _Refit:
-    """:func:`_margins` of the single candidate ``y``, which must converge."""
-    return _converged(_margins([y], ws, kind, alpha, init)[0], y)
 
 
 def indicator(
@@ -528,7 +527,6 @@ def full_cp(
     base = _base_fit(data, spec)
     if not base.converged:
         raise NonConvergence("base fit did not converge")
-    base_params = base.params  # a property that packs a new array on each access
     q = conformal_quantile(score(kind, data.y, base, data.X), cfg.alpha)
     predicted = _invert_split(base, kind, q, x_new, level)
     centre = float(base.predict(x_new)[0])
@@ -549,9 +547,9 @@ def full_cp(
     def margins(us) -> list[float]:
         ys = [to_y(u) for u in us]
         if kept.keys().isdisjoint(ys):
-            starts = base_params
+            starts = base.params
         else:  # kept end cells start where their first refit converged
-            starts = [kept.get(y, base_params) for y in ys]
+            starts = [kept.get(y, base.params) for y in ys]
         refits = _margins(ys, ws, kind, cfg.alpha, starts)
         refits = [r if r.converged else _margin(y, ws, kind, cfg.alpha) for y, r in zip(ys, refits)]
         if cells and not kept:  # the first batch, which holds the end cells

@@ -167,36 +167,48 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Estimated coefficients for one family.
+    """A fitted family: its packed parameter vector and how the fit ended.
 
-    ``disp_intercept`` stores log(sigma) for the transform families and
-    log(phi) for the beta families; ``disp_coef`` is identically zero when
-    the family has no dispersion covariates.  ``iterations`` counts the
+    ``params`` is the parameter vector in the optimizer layout,
+    [mean_intercept, mean_coef, disp_intercept, disp_coef], the last only
+    for the families with dispersion covariates; it is stored once, as a
+    read-only copy of the vector passed in, and a warm start such as
+    ``fit(data, spec, init=model.params)`` takes it as it is.
+    ``mean_intercept``, ``mean_coef``, ``disp_intercept`` and ``disp_coef``
+    are unpacked from it when the model is built: two floats and two
+    read-only arrays.  ``disp_intercept`` stores log(sigma) for the
+    transform families and log(phi) for the beta families; ``disp_coef``
+    is identically zero when the family has no dispersion covariates.
+    ``loglik`` is the maximized log-likelihood.  ``iterations`` counts the
     Newton iterations of the fit: 0 for the closed-form family, and for a
     cold m4 fit without those of the m3 fit that gives its start.
     :meth:`predict` gives the fitted values at new covariates.
     """
 
     spec: ModelSpec
-    mean_intercept: float
-    mean_coef: np.ndarray
-    disp_intercept: float
-    disp_coef: np.ndarray
+    params: np.ndarray
     loglik: float
     converged: bool
     iterations: int = 0
+    mean_intercept: float = field(init=False, repr=False, compare=False)
+    mean_coef: np.ndarray = field(init=False, repr=False, compare=False)
+    disp_intercept: float = field(init=False, repr=False, compare=False)
+    disp_coef: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        params = _read_only(np.array(self.params, dtype=float))
+        k = params.size - 2  # p, or 2 p with dispersion covariates
+        p = k // 2 if self.family.models_dispersion else k
+        mean, disp_intercept, disp_coef = _split_params(params, p, self.family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "mean_intercept", float(mean[0]))
+        object.__setattr__(self, "mean_coef", mean[1:])
+        object.__setattr__(self, "disp_intercept", float(disp_intercept))
+        object.__setattr__(self, "disp_coef", _read_only(disp_coef))
 
     @property
     def family(self) -> ModelFamily:
         return self.spec.family
-
-    @property
-    def params(self) -> np.ndarray:
-        """Packed parameter vector in the optimizer layout."""
-        head = np.concatenate(([self.mean_intercept], self.mean_coef, [self.disp_intercept]))
-        if self.family.models_dispersion:
-            return np.concatenate([head, self.disp_coef])
-        return head
 
     def predict(self, x):
         """Fitted values ``(mean, spread)`` at covariate vector(s) ``x``, by
@@ -685,20 +697,4 @@ def fit(data: Dataset, spec: ModelSpec, *, init=None) -> FittedModel:
     design.
     """
     x, f, converged, iterations = _solve(_Likelihood(data, spec.family), init)[:4]
-    return _build(data, spec, x[0], float(f[0]), converged[0], iterations[0])
-
-
-def _build(
-    data: Dataset, spec: ModelSpec, params: np.ndarray, objective: float, converged: bool, iterations: int
-) -> FittedModel:
-    mean, di, dc = _split_params(params, data.p, spec.family)
-    return FittedModel(
-        spec=spec,
-        mean_intercept=float(mean[0]),
-        mean_coef=np.array(mean[1:]),
-        disp_intercept=float(di),
-        disp_coef=np.array(dc),
-        loglik=-data.n * objective,
-        converged=converged,
-        iterations=iterations,
-    )
+    return FittedModel(spec, x[0], -data.n * float(f[0]), converged[0], iterations[0])

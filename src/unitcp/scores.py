@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as sp
 
 from .models import FittedModel, ModelFamily
-from .numeric import _log_odds
+from .numeric import _log_odds, _scalar_or_array
 
 __all__ = ["ScoreKind", "score"]
 
@@ -87,8 +87,4 @@ def score(kind: ScoreKind, y, m: FittedModel, x):
         raise ValueError("responses must lie strictly in (0, 1)")
 
     response = y_arr if m.family.is_beta else _log_odds(y_arr)
-    out = _score_fitted(kind, m.family, response, *m.predict(x))
-
-    if np.isscalar(y) or np.ndim(y) == 0:
-        return float(out)
-    return out
+    return _scalar_or_array(_score_fitted(kind, m.family, response, *m.predict(x)), y)

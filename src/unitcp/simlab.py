@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import FullConfig, PredictionInterval, SplitConfig, full_cp, split_cp
+from .conformal import FullConfig, PredictionInterval, SplitConfig, _check_alpha, full_cp, split_cp
 from .models import (
     Dataset,
     FitError,
@@ -320,8 +320,7 @@ def bootstrap_interval(
     """
     if B < 100:
         raise ValueError("need at least 100 bootstrap replicates")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     rng = np.random.default_rng(seed)
     x_new = _checked_row(x_new, data.p)
     base = fit(data, spec)

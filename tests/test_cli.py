@@ -20,7 +20,7 @@ from unitcp.cli import (
     INTERVAL_COLUMNS,
     INTERVALS_SCHEMA,
 )
-from unitcp import Method, ModelFamily, Scenario, ScoreKind, cli
+from unitcp import Method, ModelFamily, ModelSpec, Scenario, ScoreKind, cli, fit
 from unitcp.datasets import bodyfat_path
 
 
@@ -97,6 +97,19 @@ def test_fit_subcommand(tmp_path):
     assert payload["family"] == "m3"
     assert payload["converged"] is True
     assert len(payload["mean_coef"]) == 2
+
+
+@pytest.mark.parametrize("family", list(ModelFamily), ids=lambda f: f.value)
+def test_fit_json_coefficients_pack_to_the_fitted_params(tmp_path, family):
+    train = small_csv(tmp_path)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--input", train, "--model", family.value, "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    packed = [payload["mean_intercept"], *payload["mean_coef"], payload["disp_intercept"]]
+    if family.models_dispersion:
+        packed += payload["disp_coef"]
+    want = fit(load_csv(train), ModelSpec(family)).params
+    np.testing.assert_array_equal(np.array(packed), want)
 
 
 def test_predict_split_subcommand(tmp_path):

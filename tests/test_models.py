@@ -34,18 +34,14 @@ ALL_SPECS = (M1, M2, M3, M4)
 
 
 def make_model(spec, mean_intercept, mean_coef, disp_intercept, disp_coef=None):
+    """A model of ``spec`` built from the packed vector of these coefficients;
+    ``disp_coef`` defaults to zeros and is packed only where the family has
+    dispersion covariates."""
     mean_coef = np.asarray(mean_coef, dtype=float)
-    if disp_coef is None:
-        disp_coef = np.zeros_like(mean_coef)
-    return FittedModel(
-        spec=spec,
-        mean_intercept=float(mean_intercept),
-        mean_coef=mean_coef,
-        disp_intercept=float(disp_intercept),
-        disp_coef=np.asarray(disp_coef, dtype=float),
-        loglik=0.0,
-        converged=True,
-    )
+    params = np.concatenate([[mean_intercept], mean_coef, [disp_intercept]])
+    if spec.family.models_dispersion:
+        params = np.concatenate([params, np.zeros_like(mean_coef) if disp_coef is None else disp_coef])
+    return FittedModel(spec, params, loglik=0.0, converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +123,49 @@ def test_warm_start_is_keyword_only():
     with pytest.raises(TypeError):
         fit(data, M3, start)
     assert fit(data, M3, init=start).converged
+
+
+# ---------------------------------------------------------------------------
+# a fitted model is its packed parameter vector
+
+
+SCENARIO_OF = {M1: Scenario.TRANSFORM_HOMO, M2: Scenario.TRANSFORM_HETERO,
+               M3: Scenario.BETA_MEAN, M4: Scenario.BETA_MEAN_DISP}
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+def test_fitted_model_is_read_only(spec):
+    data, x_new, _ = make_scenario_data(SCENARIO_OF[spec], 60, None, seed=4)
+    m = fit(data, spec)
+    before = m.predict(x_new)
+    for name in ("params", "mean_coef", "disp_coef"):
+        with pytest.raises(ValueError):
+            getattr(m, name)[0] = 5.0
+    np.testing.assert_array_equal(m.predict(x_new), before)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+def test_fitted_model_is_the_solvers_row_unpacked(spec):
+    data, _, _ = make_scenario_data(SCENARIO_OF[spec], 60, None, seed=4)
+    m = fit(data, spec)
+    solved = models._solve(_Likelihood(data, spec.family))[0]
+    assert m.params.tobytes() == solved[0].tobytes()
+    assert m.params is m.params
+    mean, disp_intercept, disp_coef = models._split_params(m.params, data.p, spec.family)
+    assert m.mean_intercept == mean[0] and isinstance(m.mean_intercept, float)
+    np.testing.assert_array_equal(m.mean_coef, mean[1:])
+    assert m.disp_intercept == disp_intercept and isinstance(m.disp_intercept, float)
+    np.testing.assert_array_equal(m.disp_coef, disp_coef)
+
+
+def test_fitted_model_keeps_a_copy_of_its_vector():
+    params = np.array([0.1, 0.2, -0.3, 0.4, 1.5])
+    m = FittedModel(M3, params, loglik=0.0, converged=True)
+    params[1] = 9.0
+    assert params.flags.writeable
+    np.testing.assert_array_equal(m.mean_coef, [0.2, -0.3, 0.4])
+    with pytest.raises(ValueError, match="parameters for"):  # an odd count has no p
+        FittedModel(M4, params, loglik=0.0, converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +310,7 @@ def test_predict_rejects_wrong_covariate_length(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
 def test_predict_matches_likelihood_fitted_values(spec):
-    scenario = {M1: Scenario.TRANSFORM_HOMO, M2: Scenario.TRANSFORM_HETERO,
-                M3: Scenario.BETA_MEAN, M4: Scenario.BETA_MEAN_DISP}[spec]
-    data, _, _ = make_scenario_data(scenario, 80, None, seed=9)
+    data, _, _ = make_scenario_data(SCENARIO_OF[spec], 80, None, seed=9)
     m = fit(data, spec)
     _, rows = _Likelihood(data, spec.family).evaluate(m.params[None])
     for got, want in zip(m.predict(data.X), (rows[2][0], rows[3][0])):
