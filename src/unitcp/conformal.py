@@ -12,29 +12,36 @@ first the two edges the base fit predicts, and the fitted centre only
 when neither is included; from the outermost included points it
 extrapolates by secant until a candidate is excluded, and closes the
 bracket by Illinois regula falsi, returning the included end of a
-bracket no wider than the resolution.  The lower and upper edges advance
-in lockstep, each round refitting both edges' next probes in one batched
-solve.  The beta families are searched in y on (0, 1); the transform
-families on the logit scale over (-LOGIT_LIMIT, LOGIT_LIMIT).  When k > n
-every candidate is in the set, and the interval is (0, 1) with no fit.
-The base fit is made once per dataset and family and kept on the
-dataset.  The refits of an interval share one candidate workspace, built
-and validated once: the design of the n rows plus the new covariate row,
-with the response transforms, of which each candidate rewrites only its
-own row.  A refit is one fit of that workspace, and the n + 1 scores come
-from the fitted values of its last derivative pass.  A refit that does
-not converge from the base fit is refitted once cold.  The conformal set
-need not be one interval, and full CP returns the hull of the included
-points it finds.  For the beta families these include the two end cells,
-y = tol/2 and 1 - tol/2, which are refitted together with the search's
-first points in one batch: an included end cell is the interval's
-endpoint on its side.  Their refits do not depend on the score, so the
-dataset keeps their converged parameters per family and new row, and the
-other score kind's interval starts them there.
+bracket no wider than the resolution.  The beta families are searched in
+y on (0, 1); the transform families on the logit scale over
+(-LOGIT_LIMIT, LOGIT_LIMIT).  When k > n every candidate is in the set,
+and the interval is (0, 1) with no fit.
+
+The refits of an interval run in one pool (:class:`_Pool`): a candidate
+joins it between two Newton rounds, every running refit takes one step
+per round, and a refit leaves when it stops, so the search hears of each
+margin in the round its refit ends.  Each edge orders its next probe as
+soon as its last one ends, whatever the other edge does.  A refit that
+does not converge from the base fit is refitted once cold.  The base fit
+is made once per dataset and family and kept on the dataset.  The refits
+of an interval share one candidate workspace, built and validated once:
+the design of the n rows plus the new covariate row, with the response
+transforms, of which each candidate has its own row.
+
+The conformal set need not be one interval, and full CP returns the hull
+of the included points it finds.  For the beta families these include
+the two end cells, y = tol/2 and 1 - tol/2, which join the pool with the
+search's first points: an included end cell is the interval's endpoint
+on its side.  The edges do not wait for them: an end cell that ends
+included stops the refit its side's edge has running.  Their refits do
+not depend on the score, so the dataset keeps their converged parameters
+per family and new row, and the other score kind's interval starts them
+there.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Generator
 from dataclasses import dataclass, field
@@ -45,10 +52,14 @@ import numpy as np
 from .models import (
     Dataset,
     FittedModel,
+    ModelFamily,
     ModelSpec,
     NonConvergence,
+    _check_design,
     _checked_row,
+    _initial_params,
     _Likelihood,
+    _newton,
     _solve,
     fit,
 )
@@ -266,16 +277,133 @@ class _Refit(NamedTuple):
     converged: bool
 
 
+class _Pool:
+    """The refits of candidate responses on one candidate workspace, run
+    together: members join between rounds and leave when their refit stops.
+
+    ``ws`` is a candidate workspace, ``_Likelihood(data, family, x_new)``:
+    the n rows of the data plus the row of ``x_new``, whose design the
+    caller has checked.  :meth:`join` queues a candidate y under a tag of
+    the caller's, to start from the parameter vector ``start``, or cold
+    without it; :meth:`drop` takes a member out, unscored: a running one
+    leaves the Newton pool at once, a queued one never joins.  Each
+    :meth:`round` starts the queued members and runs Newton rounds of one
+    :func:`models._newton` pool until at least one member stops, since
+    until then nothing can change what the caller asks for, and returns
+    ``(tag, y, refit)`` for each member whose refit stopped, with its
+    margin (see :func:`_margins`), scored on the rows its refit ran on.
+    m1 is solved in closed form, so its members stop in the round they
+    join, in one batched solve on ``ws``'s rows.  A member gets the bits it
+    would get alone, whoever else runs and whenever it joins.  ``rounds``
+    counts the rounds run, one after another.
+    """
+
+    def __init__(self, ws: _Likelihood, kind: ScoreKind, alpha: float):
+        self.ws, self.kind, self.alpha = ws, kind, alpha
+        self.joining, self.dropping = [], []
+        self.running = {}  # the candidate of every member in the Newton pool, by tag
+        self.newton = None
+        self.rounds = 0
+
+    def __bool__(self) -> bool:
+        return bool(self.joining or self.running)
+
+    def join(self, tag, y: float, start=None) -> None:
+        self.joining.append((tag, y, start))
+
+    def drop(self, tag) -> None:
+        if tag in self.running:
+            del self.running[tag]
+            self.dropping.append(tag)
+        else:
+            self.joining = [j for j in self.joining if j[0] != tag]
+
+    def round(self) -> list:
+        ws, joining = self.ws, self.joining
+        if ws.family is ModelFamily.TRANSFORM_HOMO:
+            if not joining:
+                return []
+            self.joining = []
+            tags, ys, _ = zip(*joining)
+            ws.set_candidates(ys)
+            params, _, converged, iterations, mean, spread = _solve(ws)
+            self.rounds += 1
+            return list(zip(tags, ys, self._refits(params, converged, iterations, mean, spread, ws.modelled)))
+        if not (joining or self.running):
+            return []
+        join, drop = None, self.dropping
+        self.joining, self.dropping = [], []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if joining:
+                tags, ys, starts = zip(*joining)
+                x0 = _starts(ws, ys, starts)
+                self.running.update(zip(tags, ys))
+                join = (tags, ys, x0)
+            try:
+                if self.newton is None:
+                    self.newton = _newton(ws.joined(ys, 0), x0, tags)
+                    report = next(self.newton)
+                else:
+                    report = self.newton.send((join, drop))
+                self.rounds += 1
+                while not report:  # until a member stops: nothing else can change before
+                    report = next(self.newton)
+                    self.rounds += 1
+            except StopIteration:  # the last running members were dropped
+                self.newton, report = None, []
+        out = []
+        for tags, params, _, converged, iterations, mean, spread, response in report:
+            ys = [self.running.pop(tag) for tag in tags]
+            out += zip(tags, ys, self._refits(params, converged, iterations, mean, spread, response))
+        return out
+
+    def _refits(self, params, converged, iterations, mean, spread, response) -> list:
+        """The refits of members from their parameters, tests, iterations,
+        fitted values and responses on the modelled scale."""
+        if False not in converged:
+            margins = self._score_margins(response, mean, spread).tolist()
+        else:
+            margins = [math.nan] * len(params)
+            ok = [i for i, c in enumerate(converged) if c]
+            if ok:
+                for i, m in zip(ok, self._score_margins(response[ok], mean[ok], spread[ok]).tolist()):
+                    margins[i] = m
+        return list(map(_Refit, margins, params, iterations, converged))
+
+    def _score_margins(self, response, mean, spread) -> np.ndarray:
+        """Each member's candidate score less the conformal quantile of its
+        other n scores."""
+        scores = _score_fitted(self.kind, self.ws.family, response, mean, spread)
+        return scores[:, -1] - conformal_quantile(scores[:, :-1], self.alpha)
+
+
+def _starts(ws: _Likelihood, ys, starts) -> np.ndarray:
+    """The starting vectors of refits of the candidate responses ``ys``:
+    each one's ``start``, or its cold start where that is None."""
+    cold = [i for i, start in enumerate(starts) if start is None]
+    if not cold:
+        return np.array(starts, dtype=float)
+    x0 = np.empty((len(starts), ws.k + ws.kd))
+    x0[cold] = _initial_params(ws.joined([ys[i] for i in cold], 0))
+    for i, start in enumerate(starts):
+        if start is not None:
+            x0[i] = start
+    return x0
+
+
 def _margins(ys, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> list[_Refit]:
     """Signed inclusion margins of a batch of candidate responses, and their refits.
 
     ``ws`` is a candidate workspace, ``_Likelihood(data, family, x_new)``:
-    the n rows of the data plus the row of ``x_new``.  Each candidate y is
-    written into that row of its own batch member, the family is refitted
-    for every member in one batched solve, and each member's n + 1 scores
-    are taken from the fitted values of its last derivative pass; every
-    refit starts from the parameter vector ``init``, or from its own row
-    of a (members, K) ``init``, or cold without it.
+    the n rows of the data plus the row of ``x_new``, whose design is
+    checked first (see :func:`models._check_design`).  Each candidate y is
+    written into that row of its own batch member; every member joins one
+    :class:`_Pool` in its first round and leaves it when its refit stops,
+    and none is dropped, the case of a pool whose members all start
+    together.  Each member's n + 1 scores are taken from the fitted values
+    of its last derivative pass.  Every refit starts from
+    the parameter vector ``init``, or from its own row of a (members, K)
+    ``init``, or cold without it.
     A member's margin is the candidate's score minus the
     :func:`conformal_quantile` of the other n scores, their k-th smallest
     with k = ceil((1 - alpha)(n + 1)).  The candidate is in the conformal
@@ -289,15 +417,22 @@ def _margins(ys, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> l
     """
     if not ys:
         return []
-    ws.set_candidates(ys)
-    params, _, converged, iterations, mean, spread = _solve(ws, init)
-    ok = slice(None) if all(converged) else np.array(converged)
-    response = ws.y if ws.family.is_beta else ws.z
-    scores = _score_fitted(kind, ws.family, response[ok], mean[ok], spread[ok])
-    margins = np.empty(len(params))
-    margins.fill(math.nan)
-    margins[ok] = scores[:, -1] - conformal_quantile(scores[:, :-1], alpha)
-    return list(map(_Refit, margins.tolist(), params, iterations, converged))
+    _check_design(ws)
+    if init is None:
+        starts = [None] * len(ys)
+    else:
+        init = np.asarray(init, dtype=float)
+        if init.shape[-1:] != (ws.k + ws.kd,):
+            raise ValueError(f"expected {ws.k + ws.kd} parameters for {ws.family}, got shape {init.shape}")
+        starts = np.broadcast_to(init, (len(ys), ws.k + ws.kd))
+    pool = _Pool(ws, kind, alpha)
+    for i, (y, start) in enumerate(zip(ys, starts)):
+        pool.join(i, y, start)
+    refits = [None] * len(ys)
+    while pool:
+        for i, _, refit in pool.round():
+            refits[i] = refit
+    return refits
 
 
 def _margin(y: float, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> _Refit:
@@ -336,7 +471,8 @@ def _edge(inside, outside, tol: float, prev=None) -> Generator[float, float, flo
     """Locate the edge of the inclusion region between two points.
 
     A generator: it yields each point u it probes and is sent margin(u), so
-    that :func:`_search` can refit the probes of both edges in one batch.
+    that :func:`_search` can run both edges' probes in one pool of refits,
+    each edge probing on as soon as its last probe's refit ends.
     ``inside`` is a point (u, margin(u)) with margin <= 0.  ``outside`` is an
     excluded point, or the end of the search range with margin ``None``; the
     end itself is never probed.  Until an excluded point is known the
@@ -398,68 +534,141 @@ def _first_points(lo: float, hi: float, tol: float, guesses) -> list[float]:
     return [g for g in points if lo + 0.5 * tol <= g <= hi - 0.5 * tol]
 
 
-def _search(margins, centre, lo: float, hi: float, tol: float, guesses, cells=()):
+def _search(centre, lo: float, hi: float, tol: float, guesses, cells=()):
     """Inclusion region of a margin within the range (lo, hi) of one coordinate.
 
-    ``margins`` maps a list of points to their margins, and each call is
-    one batch.  ``guesses`` are where the edges are expected and ``centre``
-    is a point (u, estimated margin) where the region is expected.  The
-    first batch holds the guesses, moved ``EDGE_AIM`` times ``tol`` inward
-    as :func:`_edge` moves its probes, where they lie at least tol/2 inside
-    the range, and then the points ``cells``.  The centre goes in alone,
-    and only when neither guess is included.  When the centre is excluded
-    too, a coarse expansion evaluates, in one batch per round, the
-    midpoint of every gap of ``tol`` or more between known points (the
-    range ends count as excluded) until one is included.  Once the search
-    has found the region, the included ``cells`` join the known points and
-    the excluded ones are dropped, so they steer nothing.  Then an
-    :func:`_edge` search runs from each of the outermost included points,
-    with ``centre`` to steer its first secant step; the estimate never
-    certifies an endpoint.  The two edges advance in lockstep: each round
-    is one batch of the next probe of every edge still open.  Returns None
-    for an empty region, else (lower, upper): the hull of the included
-    points found.
+    A generator over refits that run at once and end in any order: it
+    yields orders, a list of ``(tag, u)`` pairs, each to start refitting
+    the point u under a new tag, or with u None to stop the refit under
+    that tag, and is sent the margins of the refits that ended, a list of
+    ``(tag, margin)``.  It returns None for an empty region, else
+    (lower, upper): the hull of the included points found.
+
+    ``guesses`` are where the edges are expected and ``centre`` is a point
+    (u, estimated margin) where the region is expected.  ``cells`` are the
+    points just inside the lower and the upper end of the range, or none.
+    The first phase finds the region, one batch at a time: the guesses,
+    moved ``EDGE_AIM`` times ``tol`` inward as :func:`_edge` moves its
+    probes, where they lie at least tol/2 inside the range; the centre,
+    alone and only when neither guess is included; and when the centre is
+    excluded too, a coarse expansion, each round a batch of the midpoint
+    of every gap of ``tol`` or more between known points (the range ends
+    count as excluded), until one is included.  The first orders hold the
+    first batch and then the cells, whose refits run beside the first
+    phase.  An included cell joins the known points and an excluded one is
+    dropped, so it steers nothing.  Then an :func:`_edge` search runs from
+    each of the outermost included points, with ``centre`` to steer its
+    first secant step; the estimate never certifies an endpoint.  Each
+    edge orders its next probe as soon as its last one ends, whatever the
+    other edge does.
+
+    The edges start when the first phase ends, from the included points
+    known then: a cell still running is not waited for, unless the first
+    phase found no included point.  A cell that ends included and moves
+    the outermost included point on a side restarts that side's edge from
+    it, which stops the refit the old edge had running: an included end
+    cell is its side's endpoint at once.  The search ends once both edges
+    have returned and every cell has ended, so the result is that of
+    waiting for the cells before starting the edges.
     """
     known = {lo: None, hi: None}
 
     def found() -> bool:
         return any(m is not None and m <= 0.0 for m in known.values())
 
-    first = _first_points(lo, hi, tol, guesses)
-    batch = margins(first + list(cells))
-    known.update(zip(first, batch))
-    included_cells = [(u, m) for u, m in zip(cells, batch[len(first) :]) if m <= 0.0]
-    if not found() and centre[0] not in known:
-        known[centre[0]] = margins([centre[0]])[0]
-    while not found():
-        xs = sorted(known)
-        mids = [0.5 * (a + b) for a, b in zip(xs[:-1], xs[1:]) if b - a >= tol]
-        if not mids:
-            break
-        known.update(zip(mids, margins(mids)))
-    known.update(included_cells)
-    xs = sorted(known)
-    hits = [i for i, u in enumerate(xs) if known[u] is not None and known[u] <= 0.0]
-    if not hits:
-        return None
-    i, j = hits[0], hits[-1]
-    lower = _edge((xs[i], known[xs[i]]), (xs[i - 1], known[xs[i - 1]]), tol, centre)
-    upper = _edge((xs[j], known[xs[j]]), (xs[j + 1], known[xs[j + 1]]), tol, centre)
-    bounds = {}
+    def first_phase():
+        """The first phase, yielding each batch and sent its margins."""
+        first = _first_points(lo, hi, tol, guesses)
+        known.update(zip(first, (yield first)))
+        if not found() and centre[0] not in known:
+            known[centre[0]] = (yield [centre[0]])[0]
+        while not found():
+            xs = sorted(known)
+            mids = [0.5 * (a + b) for a, b in zip(xs[:-1], xs[1:]) if b - a >= tol]
+            if not mids:
+                break
+            known.update(zip(mids, (yield mids)))
 
-    def send(edge, m) -> list:
-        """The edge's next probe, or none once it has returned its bound."""
+    tags = itertools.count()
+    orders, flight = [], {}  # the orders to hand out; what each refit running is for, by tag
+    ends = {}  # the margin of each cell that has ended, by its index
+    edges, bounds = {}, {}  # per side, 0 lower and 1 upper: [edge search, its start, its probe's tag], its result
+
+    def order(what, u) -> int:
+        tag = next(tags)
+        flight[tag] = what
+        orders.append((tag, u))
+        return tag
+
+    def step(side: int, m=None) -> None:
+        """Send the side's edge its probe's margin, or start it without one;
+        order its next probe or keep its bound."""
+        edge = edges[side]
         try:
-            return [(edge, edge.send(m))]
+            u = next(edge[0]) if m is None else edge[0].send(m)
         except StopIteration as stop:
-            bounds[edge] = stop.value
-            return []
+            bounds[side], edge[2] = stop.value, None
+            return
+        edge[2] = order(("edge", side), u)
 
-    probes = send(lower, None) + send(upper, None)
-    while probes:
-        batch = margins([u for _, u in probes])
-        probes = [p for (edge, _), m in zip(probes, batch) for p in send(edge, m)]
-    return bounds[lower], bounds[upper]
+    def launch() -> bool:
+        """Start the edge search of each side whose outermost included point
+        has moved, stopping the old one's probe; False when there is none."""
+        points = dict(known)
+        points.update((cells[i], m) for i, m in ends.items() if m <= 0.0)
+        xs = sorted(points)
+        hits = [i for i, u in enumerate(xs) if points[u] is not None and points[u] <= 0.0]
+        if not hits:
+            return False
+        for side, i, j in ((0, hits[0], hits[0] - 1), (1, hits[-1], hits[-1] + 1)):
+            old = edges.get(side)
+            if old is not None:
+                if old[1] == xs[i]:
+                    continue
+                if old[2] in flight:
+                    del flight[old[2]]
+                    orders.append((old[2], None))
+                bounds.pop(side, None)
+            edges[side] = [_edge((xs[i], points[xs[i]]), (xs[j], points[xs[j]]), tol, centre), xs[i], None]
+            step(side)
+        return True
+
+    phase = first_phase()
+    batch, got = next(phase), {}
+    for i, u in enumerate(batch):
+        order(("find", i), u)
+    for i, u in enumerate(cells):
+        order(("end", i), u)
+    finished = []
+    while True:
+        probed, ended = [], len(ends)
+        for tag, m in finished:
+            what, key = flight.pop(tag)
+            if what == "find":
+                got[key] = m
+            elif what == "end":
+                ends[key] = m
+            else:
+                probed.append((key, edges[key][0], m))
+        moved = phase is None and len(ends) > ended  # a cell ended after the first phase
+        while phase is not None and len(got) == len(batch):
+            try:
+                batch = phase.send([got[i] for i in range(len(batch))])
+            except StopIteration:
+                phase, moved = None, True
+                break
+            got = {}
+            for i, u in enumerate(batch):
+                order(("find", i), u)
+        if moved and (len(ends) == len(cells) or found()) and not launch():
+            return None
+        for side, edge, m in probed:
+            if edges[side][0] is edge:
+                step(side, m)
+        if phase is None and len(ends) == len(cells) and len(bounds) == 2:
+            return bounds[0], bounds[1]
+        finished = yield orders
+        orders = []
 
 
 def _base_fit(data: Dataset, spec: ModelSpec) -> FittedModel:
@@ -494,7 +703,7 @@ def full_cp(
 
     The interval is the hull of the included points found: the conformal
     set need not be one interval.  For the beta families the search's
-    first batch also holds the two end cells, y = tol/2 and 1 - tol/2, the
+    first orders also hold the two end cells, y = tol/2 and 1 - tol/2, the
     middles of the first and last resolution cells of (0, 1): an included
     end cell is the interval's endpoint on its side, and an excluded one
     leaves the search as it would be without it.  The transform families
@@ -504,20 +713,26 @@ def full_cp(
     dataset, so the intervals of several new points share it.  Every
     refit starts from the base fit, which depends on the data alone, so
     each candidate's margin depends on the candidate alone and not on the
-    search's path.  Nor does it depend on the score, so the dataset also
-    keeps the end cells' converged parameter vectors, two per beta family
-    and new row (160 bytes of floats for m3 and 288 for m4 at p = 8), and
-    a later call for that family and row, of either score kind, puts its
-    end cells into the first batch at those parameters: they converge
-    there after no iteration, with the bits of their first refit, and
-    only the score is read off again.  End cells whose refit fails are
-    not kept.  The search hands its points over in batches (see
-    :func:`_search`), each refitted in one batched solve (see
-    :func:`_margins`).  A member that does not converge is refitted once
-    cold, a start that also depends on the candidate alone, and the
-    interval raises :class:`NonConvergence` when that fails too.  All
-    refits of the call share one candidate workspace, which is dropped
-    when the call returns.
+    search's path or on which refits run beside it.  Nor does it depend on
+    the score, so the dataset also keeps the end cells' converged
+    parameter vectors, two per beta family and new row (160 bytes of
+    floats for m3 and 288 for m4 at p = 8), and a later call for that
+    family and row, of either score kind, starts its end cells at those
+    parameters: they converge there after no iteration, with the bits of
+    their first refit, and only the score is read off again.  End cells
+    whose refit fails are not kept.
+
+    The search (see :func:`_search`) and every refit run in one
+    :class:`_Pool`: the search orders each point as it needs it, every
+    refit joins the pool in the next round, and its margin goes back to
+    the search in the round the refit ends; a refit the search no longer
+    needs, the probe of an edge whose side's end cell ended included, is
+    stopped.  A refit that does not converge is refitted once cold, a
+    start that also depends on the candidate alone, and the interval
+    raises :class:`NonConvergence` when that fails too.  All refits of
+    the call share one candidate workspace, which is dropped when the call
+    returns, with the pool.  Its design is not checked again: the base fit
+    checked the data's, and a row more keeps its rank.
     """
     _check_kind(kind, spec.family)
     x_new = _checked_row(x_new, data.p)
@@ -543,21 +758,33 @@ def full_cp(
         cells, kept = [], {}
     estimate = float(score(kind, to_y(centre), base, x_new)) - q
     ws = _Likelihood(data, spec.family, x_new)
-
-    def margins(us) -> list[float]:
-        ys = [to_y(u) for u in us]
-        if kept.keys().isdisjoint(ys):
-            starts = base.params
-        else:  # kept end cells start where their first refit converged
-            starts = [kept.get(y, base.params) for y in ys]
-        refits = _margins(ys, ws, kind, cfg.alpha, starts)
-        refits = [r if r.converged else _margin(y, ws, kind, cfg.alpha) for y, r in zip(ys, refits)]
-        if cells and not kept:  # the first batch, which holds the end cells
-            kept.update((y, r.params.copy()) for y, r in zip(ys, refits) if y in cells)
-            data._end_cells[key] = kept
-        return [r.margin for r in refits]
-
-    found = _search(margins, (centre, estimate), lo, hi, tol, guesses, cells)
+    pool = _Pool(ws, kind, cfg.alpha)
+    ended = {} if cells and not kept else None  # this call's end-cell refits, kept once both are in
+    search = _search((centre, estimate), lo, hi, tol, guesses, cells)
+    join, start = pool.join, base.params
+    try:
+        orders = next(search)
+        while True:
+            for tag, u in orders:
+                if u is None:
+                    pool.drop(tag)
+                else:
+                    y = to_y(u)
+                    join(tag, y, kept.get(y, start))
+            finished = []
+            for tag, y, refit in pool.round():
+                if not refit.converged:
+                    refit = _margin(y, ws, kind, cfg.alpha)
+                if ended is not None and y in cells:
+                    ended[y] = refit.params.copy()
+                    if len(ended) == len(cells):  # kept end cells start where their first refit converged
+                        kept.update(ended)
+                        data._end_cells[key] = kept
+                        ended = None
+                finished.append((tag, refit.margin))
+            orders = search.send(finished)
+    except StopIteration as stop:
+        found = stop.value
     if found is None:
         return PredictionInterval(math.nan, math.nan, level, empty=True)
     return PredictionInterval(to_y(found[0]), to_y(found[1]), level)

@@ -13,9 +13,10 @@ closed-form MLE; the rest run damped Newton on the mean negative
 log-likelihood with its analytic gradient and Hessian (the expected
 information stands in where the Hessian is not positive definite), and
 convergence is judged by a relative gradient criterion.  One Newton loop
-fits a batch of parameter vectors that share a design: a single fit is a
-batch of one, and full conformal prediction refits several candidate
-responses at once.
+fits a pool of parameter vectors that share a design, whose members join
+between rounds and leave when they stop: a single fit is a pool of one
+member, and full conformal prediction refits its candidate responses in
+one pool, each as the search asks for it.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _checked_row(x_new, p: int) -> np.ndarray:
     return x_new
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Responses strictly inside (0,1) plus a covariate matrix.
 
@@ -121,7 +122,8 @@ class Dataset:
     per family, and per beta family and new covariate row the parameter
     vectors of the two end-cell refits, which both score kinds share
     (about 0.3 KB of floats per row and family at p = 8, under 1 KB with
-    their Python objects).
+    their Python objects).  Datasets compare and hash by identity, as
+    objects that carry memos.
     """
 
     y: np.ndarray
@@ -130,8 +132,8 @@ class Dataset:
     # converged end-cell refits, by (ModelSpec, the new row's bytes), each a
     # dict of parameter vectors by end cell; augmented copies start empty,
     # as their data differ
-    _base_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _end_cells: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _base_fits: dict = field(default_factory=dict, init=False, repr=False)
+    _end_cells: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float)
@@ -165,7 +167,7 @@ class Dataset:
         return Dataset(np.append(self.y, float(y_new)), np.vstack([self.X, _checked_row(x_new, self.p)]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FittedModel:
     """A fitted family: its packed parameter vector and how the fit ended.
 
@@ -182,7 +184,8 @@ class FittedModel:
     ``loglik`` is the maximized log-likelihood.  ``iterations`` counts the
     Newton iterations of the fit: 0 for the closed-form family, and for a
     cold m4 fit without those of the m3 fit that gives its start.
-    :meth:`predict` gives the fitted values at new covariates.
+    :meth:`predict` gives the fitted values at new covariates.  Fits
+    compare and hash by identity.
     """
 
     spec: ModelSpec
@@ -190,10 +193,10 @@ class FittedModel:
     loglik: float
     converged: bool
     iterations: int = 0
-    mean_intercept: float = field(init=False, repr=False, compare=False)
-    mean_coef: np.ndarray = field(init=False, repr=False, compare=False)
-    disp_intercept: float = field(init=False, repr=False, compare=False)
-    disp_coef: np.ndarray = field(init=False, repr=False, compare=False)
+    mean_intercept: float = field(init=False, repr=False)
+    mean_coef: np.ndarray = field(init=False, repr=False)
+    disp_intercept: float = field(init=False, repr=False)
+    disp_coef: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         params = _read_only(np.array(self.params, dtype=float))
@@ -284,21 +287,28 @@ class _Likelihood:
     family has no dispersion covariates.  In that case the dispersion is
     one scalar for all rows, and its special functions are evaluated once.
 
-    The responses and their transforms are (members, n) arrays: one row,
-    shared by every member, for the workspace of a dataset.  With
-    ``x_new`` the workspace is full conformal's candidate workspace: the
-    rows of ``data`` plus one row with covariates ``x_new``, validated
-    once, whose response :meth:`set_candidates` writes, one per member of
-    a batch, before each refit.  Nothing else changes between candidates.
+    The responses and their transforms are (members, n) arrays, views of
+    one (4, members, n) stack: one row, shared by every member, for the
+    workspace of a dataset.  With ``x_new`` the workspace is full
+    conformal's candidate workspace: the rows of ``data`` plus one row with
+    covariates ``x_new``, validated once, whose response is a candidate:
+    :meth:`set_candidates` writes one per member of a batch in place, and
+    :meth:`joined` gives a workspace that adds members with candidates of
+    their own.  Nothing else changes between candidates.  :meth:`take` and
+    :meth:`joined` give the workspace of other members of the same design,
+    as a pool of refits loses and gains members.
     """
 
     def __init__(self, data: Dataset, family: ModelFamily, x_new=None):
-        X, y = data.X, data.y
+        y, n = data.y, data.n
         if x_new is not None:
-            X = np.vstack([X, _checked_row(x_new, data.p)])
             y = np.append(y, 0.5)  # a placeholder until set_candidates
-        self.n, self.k = X.shape[0], data.p + 1
-        self.Z = np.column_stack([np.ones(self.n), X])
+        self.n, self.k = len(y), data.p + 1
+        self.Z = np.empty((self.n, self.k))  # the intercept, the covariates and the row of x_new
+        self.Z[:, 0] = 1.0
+        self.Z[:n, 1:] = data.X
+        if x_new is not None:
+            self.Z[n, 1:] = _checked_row(x_new, data.p)
         self.ZT = np.ascontiguousarray(self.Z.T)
         self._set_family(family)
         self._pinv = None
@@ -306,7 +316,20 @@ class _Likelihood:
         self.log_y = np.log(self.y)
         self.log_1my = np.log1p(-self.y)
         self.z = self.log_y - self.log_1my  # logit(y)
-        self._rows = (self.y, self.log_y, self.log_1my, self.z)  # room for the largest batch so far
+        # the (4, members, n) stack of the four, made when first needed, and
+        # the room for the largest batch of set_candidates so far
+        self._responses = self._rows = None
+
+    def _respond(self, responses: np.ndarray) -> None:
+        """Take the stack ``responses`` of y, log y, log(1 - y) and logit(y)
+        as the responses, one row per member."""
+        self._responses = responses
+        self.y, self.log_y, self.log_1my, self.z = responses
+
+    def _stack(self) -> np.ndarray:
+        if self._responses is None:
+            self._respond(np.array([self.y, self.log_y, self.log_1my, self.z]))
+        return self._responses
 
     def _set_family(self, family: ModelFamily) -> None:
         self.family = family
@@ -320,24 +343,44 @@ class _Likelihood:
         """Write candidate responses ``ys``, one per batch member, and their
         transforms into the last row."""
         ys = [float(y) for y in ys]
+        if self._rows is None:
+            self._rows = self._stack()
         if len(ys) != len(self.y):
-            if len(ys) > len(self._rows[0]):
-                self._rows = tuple(np.repeat(a[:1], len(ys), axis=0) for a in self._rows)
-            self.y, self.log_y, self.log_1my, self.z = (a[: len(ys)] for a in self._rows)
-        for i, y in enumerate(ys):
-            if not 0.0 < y < 1.0:
-                raise ValueError("candidate must lie strictly in (0, 1)")
-            self.y[i, -1] = y
-            self.log_y[i, -1] = log_y = math.log(y)
-            self.log_1my[i, -1] = log_1my = math.log1p(-y)
-            self.z[i, -1] = log_y - log_1my
+            if len(ys) > self._rows.shape[1]:
+                self._rows = np.repeat(self._rows[:, :1], len(ys), axis=1)
+            self._respond(self._rows[:, : len(ys)])
+        _write_candidates(self._responses, ys)
 
-    def take(self, members: np.ndarray) -> "_Likelihood":
-        """The workspace of the batch members ``members`` (indices of rows
-        of the responses), sharing the designs."""
-        sub = copy.copy(self)
-        sub.y, sub.log_y, sub.log_1my, sub.z = (a[members] for a in (self.y, self.log_y, self.log_1my, self.z))
+    def _with(self, responses: np.ndarray) -> "_Likelihood":
+        """A workspace of the same design whose responses, and whose room
+        for :meth:`set_candidates`, are the stack ``responses``."""
+        sub = object.__new__(_Likelihood)
+        sub.__dict__.update(self.__dict__)
+        sub._rows = responses
+        sub._respond(responses)
         return sub
+
+    def take(self, members) -> "_Likelihood":
+        """The workspace of the batch members ``members`` (indices of rows
+        of the responses), in rows of its own, sharing the designs."""
+        return self._with(self._stack()[:, members])
+
+    def joined(self, ys, keep: int) -> "_Likelihood":
+        """The workspace of this one's first ``keep`` members followed by one
+        member per candidate response in ``ys`` (see :meth:`set_candidates`),
+        in rows of its own, sharing the designs.  Every member's responses
+        are the data's but for the last row, so any member's row is the
+        template of a new one."""
+        stack = self._stack()
+        responses = np.concatenate([stack[:, :keep]] + [stack[:, :1]] * len(ys), axis=1)
+        _write_candidates(responses[:, keep:], [float(y) for y in ys])
+        return self._with(responses)
+
+    @property
+    def modelled(self) -> np.ndarray:
+        """The responses on the scale the family models, one row per member:
+        y for the beta families, logit(y) for the transform families."""
+        return self.y if self.is_beta else self.z
 
     def pinv(self) -> np.ndarray:
         """Pseudo-inverse of the design, from one SVD per workspace.
@@ -460,6 +503,16 @@ class _Likelihood:
         return blocks.take(self._at, axis=1) / self.n
 
 
+def _write_candidates(responses: np.ndarray, ys: list) -> None:
+    """Write each candidate of ``ys`` and its transforms into the last row
+    of its member of the stack ``responses``."""
+    for i, y in enumerate(ys):
+        if not 0.0 < y < 1.0:
+            raise ValueError("candidate must lie strictly in (0, 1)")
+        log_y, log_1my = math.log(y), math.log1p(-y)
+        responses[:, i, -1] = y, log_y, log_1my, log_y - log_1my
+
+
 def loglik(data: Dataset, spec: ModelSpec, params) -> float:
     """Model log-likelihood at a packed parameter vector.
 
@@ -527,86 +580,152 @@ def _newton_direction(lik: _Likelihood, rows, g: np.ndarray):
     return step, failed
 
 
-def _newton(lik: _Likelihood, x: np.ndarray):
-    """Damped Newton iterations from each row of ``x``, one batch member per
-    row of the workspace's responses.
+def _newton(lik: _Likelihood, x: np.ndarray, tags=None):
+    """Damped Newton iterations over a pool of batch members that share a
+    design: a generator, whose members join between rounds and leave when
+    they stop.
 
+    The first members start from the rows of ``x``, one per row of the
+    workspace's responses, tagged ``tags`` (their positions by default).
     Each member follows the path it would follow alone: its own step (the
     observed Hessian, or the expected information where that is not
     positive definite), its own line search and its own tests; the members
-    only share the passes over the data.  A member leaves the batch at one
-    of two points of a round.  Before its step, when its relative gradient
-    meets ``GTOL`` or ``MAX_ITER`` rounds have run; it has converged when
-    it met the test.  After the line search, unconverged, when it had no
-    usable direction (its step is zero) or no acceptable step; it keeps
-    the point, objective and derivative pass it started the round with.
+    only share the passes over the data, so neither the others nor when a
+    member joins change its bits.
 
-    Every point tried gets one :meth:`_Likelihood.evaluate` pass, so an
-    accepted trial point already carries the derivative pass from which
-    the next step's gradient and Hessian are built.  Steps are halved
-    until they satisfy the Armijo condition.  Near an optimum the
-    objective is flat to rounding noise while the gradient may not yet
-    have converged, so the condition allows an increase of up to
-    ``SLACK * max(1, |f|)``.  Runs under the caller's ``np.errstate``.
-    Returns, per member, (x, f, whether the gradient test was met,
-    iterations, and the fitted mean and spread of the pass at x); the
-    tests and the iteration counts are lists.
+    A round takes every running member one step and starts the members that
+    join.  Every point tried gets one :meth:`_Likelihood.evaluate` pass: the
+    first pass of a round covers the running members' trial points and the
+    joining members' starting points, so an accepted trial point already
+    carries the derivative pass from which the next step's gradient and
+    Hessian are built.  Steps are halved until they satisfy the Armijo
+    condition.  Near an optimum the objective is flat to rounding noise
+    while the gradient may not yet have converged, so the condition allows
+    an increase of up to ``SLACK * max(1, |f|)``.
+
+    A member leaves at one of two points of a round.  After the line
+    search, unconverged, when it had no usable direction (its step is zero)
+    or no acceptable step; it keeps the point, objective and derivative
+    pass it started the round with.  At the round's end, when its relative
+    gradient meets ``GTOL`` or it has run ``MAX_ITER`` iterations; it has
+    converged when it met the test.  A member that has just joined takes
+    that test at its start, as its iteration 0.
+
+    After each round the generator yields the members that left in it, as
+    a list of blocks ``(tags, x, f, converged, iterations, mean, spread,
+    response)``, with the fitted mean and spread of the pass at x and the
+    members' responses on the scale the family models (see
+    :attr:`_Likelihood.modelled`); the tags, objectives, tests and
+    iteration counts are lists.  It is then sent ``None``, or a
+    pair ``(join, drop)``: ``join`` is None or ``(tags, ys, x)``, the
+    members that join in the next round, with their candidate responses
+    ``ys`` (see :meth:`_Likelihood.joined`) and their starts the rows of
+    ``x``;
+    ``drop`` holds the tags of running members that are dropped: they leave
+    before the round, unreported, and the others run on as if they had
+    never joined.  The generator returns when no member runs and none
+    joins.  A round runs under the ``np.errstate`` of the call that
+    resumes it.
     """
-    x = np.asarray(x, dtype=float)
-    f, rows = lik.evaluate(x)
-    g = lik.gradient_from(rows)
-    converged, iterations = [False] * len(x), [0] * len(x)
-    ids = list(range(len(x)))  # each active member's position in the batch
-    left = []  # (positions, x, f, mean, spread) of members that left before the last ones
-
-    def leave(stops: list, met: list, it: int) -> list:
-        """Record the members flagged in ``stops`` as stopped at iteration
-        ``it`` at the round's start values, ``met`` telling whether each met
-        the gradient test; returns the indices of the others in the batch."""
-        for i, s, m in zip(ids, stops, met):
-            if s:
-                converged[i], iterations[i] = m, it
-        stay = [j for j, s in enumerate(stops) if not s]
-        if stay:
-            gone = [j for j, s in enumerate(stops) if s]
-            left.append(([ids[j] for j in gone], x[gone], [f[j] for j in gone], rows[2][gone], rows[3][gone]))
-        return stay
-
-    # the scalar tests of each member run in Python, on its own floats
-    for it in range(MAX_ITER + 1):
-        met = _met_gtol(g, x, f)
-        stops = met if it < MAX_ITER else [True] * len(met)
-        if True in stops:
-            stay = leave(stops, met, it)
+    joining, dropping = (range(len(x)) if tags is None else tags, None, np.asarray(x, dtype=float)), ()
+    ids, born, f = [], [], []  # the running members' tags, rounds they joined in, and objectives
+    k = 0  # the round
+    while True:
+        report = []
+        if dropping and ids:
+            stay = [j for j, t in enumerate(ids) if t not in dropping]
             if not stay:
-                break
-            ids, lik, x, g = [ids[j] for j in stay], lik.take(stay), x[stay], g[stay]
-            f, rows = [f[j] for j in stay], _take(rows, stay)
-        step, failed = _newton_direction(lik, rows, g)
-        descent = [ARMIJO_C * d for d in _rowdot(g, step).tolist()]
-        slack = [SLACK * max(1.0, abs(v)) for v in f]
-        t, x_new = [1.0] * len(f), x + step
+                ids, born, f = [], [], []
+            elif len(stay) < len(ids):
+                ids, born, f, lik, x, g, rows = _members(stay, ids, born, f, lik, x, g, rows)
+        r = len(ids)
+        if r:
+            step, failed = _newton_direction(lik, rows, g)
+            descent = [ARMIJO_C * d for d in _rowdot(g, step).tolist()]
+            slack = [SLACK * max(1.0, abs(v)) for v in f]
+            x_new = x + step
+            if joining is not None:
+                x_new = np.concatenate([x_new, joining[2]])
+        elif joining is None:
+            return
+        else:
+            failed, descent, slack, x_new = [], [], [], joining[2]
+        if joining is not None:
+            if joining[1] is not None:  # the running members' rows, then the new ones
+                lik = lik.joined(joining[1], r)
+            ids, born = ids + list(joining[0]), born + [k] * len(joining[0])
+        t = [1.0] * r
         for _ in range(MAX_HALVINGS):
             f_new, rows_new = lik.evaluate(x_new)
             refused = [not a <= b + c * d + e for a, b, c, d, e in zip(f_new, f, t, descent, slack)]
             if True not in refused:
                 break
-            t = [0.5 * c if r else c for c, r in zip(t, refused)]
-            x_new = x + np.array(t)[:, None] * step
+            t = [0.5 * c if q else c for c, q in zip(t, refused)]
+            x_new[:r] = x + np.array(t)[:, None] * step
         if True in failed or True in refused:
-            stay = leave([a or b for a, b in zip(failed, refused)], [False] * len(ids), it)
-            if not stay:
-                break
-            ids, lik = [ids[j] for j in stay], lik.take(stay)
-            x_new, f_new, rows_new = x_new[stay], [f_new[j] for j in stay], _take(rows_new, stay)
-        x, f, rows = x_new, f_new, rows_new
-        g = lik.gradient_from(rows)
-    if not left:
-        return x, np.array(f), converged, iterations, rows[2], rows[3]
-    out = [np.empty((len(converged),) + np.shape(a)[1:]) for a in (x, f, rows[2], rows[3])]
-    for at, *parts in left + [(ids, x, f, rows[2], rows[3])]:
-        for o, part in zip(out, parts):
+            gone = [j for j in range(r) if failed[j] or refused[j]]
+            report.append(([ids[j] for j in gone], x[gone], [f[j] for j in gone], [False] * len(gone),
+                           [k - 1 - born[j] for j in gone], rows[2][gone], rows[3][gone], lik.modelled[gone]))
+            stay = [j for j in range(len(ids)) if j >= r or not (failed[j] or refused[j])]
+            if stay:
+                ids, born, f, lik, x, _, rows = _members(stay, ids, born, f_new, lik, x_new, None, rows_new)
+            else:  # no member is left; the workspace keeps its rows
+                ids, born, f = [], [], []
+        else:
+            x, f, rows = x_new, f_new, rows_new
+        if ids:
+            g = lik.gradient_from(rows)
+            stops = _met_gtol(g, x, f)
+            met = stops
+            if k - born[0] >= MAX_ITER:  # born is in workspace order, the oldest first
+                stops = [a or k - b >= MAX_ITER for a, b in zip(met, born)]
+            if False not in stops:  # all leave: the arrays as they are
+                report.append((ids, x, f, met, [k - b for b in born], rows[2], rows[3], lik.modelled))
+                ids, born, f = [], [], []
+            elif True in stops:
+                gone = [j for j, s in enumerate(stops) if s]
+                report.append(([ids[j] for j in gone], x[gone], [f[j] for j in gone], [met[j] for j in gone],
+                               [k - born[j] for j in gone], rows[2][gone], rows[3][gone], lik.modelled[gone]))
+                stay = [j for j, s in enumerate(stops) if not s]
+                ids, born, f, lik, x, g, rows = _members(stay, ids, born, f, lik, x, g, rows)
+        k += 1
+        sent = yield report
+        joining, dropping = (None, ()) if sent is None else sent
+
+
+def _members(stay, ids, born, f, lik, x, g, rows):
+    """The running state of :func:`_newton` narrowed to the members at
+    positions ``stay``; a ``g`` of None stays None."""
+    return (
+        [ids[j] for j in stay],
+        [born[j] for j in stay],
+        [f[j] for j in stay],
+        lik.take(stay),
+        x[stay],
+        None if g is None else g[stay],
+        _take(rows, stay),
+    )
+
+
+def _newton_all(lik: _Likelihood, x: np.ndarray):
+    """:func:`_newton` with all members joining in the first round and none
+    dropped, under the caller's ``np.errstate``.  Returns, per member in the
+    order of ``x``, (x, f, whether the gradient test was met, iterations,
+    and the fitted mean and spread of the pass at x); the tests and the
+    iteration counts are lists.
+    """
+    blocks = [block for report in _newton(lik, x) for block in report]
+    if len(blocks) == 1:  # every member left in one round: its arrays as they are
+        x, f, converged, iterations, mean, spread = blocks[0][1:7]
+        return x, np.array(f), converged, iterations, mean, spread
+    converged, iterations = [False] * len(x), [0] * len(x)
+    first = blocks[0]
+    out = [np.empty((len(x),) + np.shape(a)[1:]) for a in (first[1], first[2], first[5], first[6])]
+    for at, *parts in blocks:
+        for o, part in zip(out, (parts[0], parts[1], parts[4], parts[5])):
             o[at] = part
+        for i, c, it in zip(at, parts[2], parts[3]):
+            converged[i], iterations[i] = c, it
     return out[0], out[1], converged, iterations, out[2], out[3]
 
 
@@ -632,7 +751,7 @@ def _initial_params(lik: _Likelihood) -> np.ndarray:
     if lik.family is ModelFamily.BETA_MEAN_DISP:
         m3 = copy.copy(lik)  # the same rows, sharing every array
         m3._set_family(ModelFamily.BETA_MEAN)
-        start = _newton(m3, _initial_params(m3))[0]
+        start = _newton_all(m3, _initial_params(m3))[0]
         return np.concatenate([start, np.zeros((len(start), p))], axis=1)
     coef, lin, _, sigma2 = _ols_logit(lik)
     if lik.family is ModelFamily.TRANSFORM_HETERO:
@@ -645,25 +764,30 @@ def _initial_params(lik: _Likelihood) -> np.ndarray:
     return np.concatenate([coef, np.log(phi0)[:, None]], axis=1)
 
 
+def _check_design(lik: _Likelihood) -> None:
+    """Raise :class:`FitError` when the workspace has fewer than p + 2 rows,
+    and :class:`SingularDesign` when its design is rank deficient, by
+    :meth:`_Likelihood.pinv`, whose SVD is made once per workspace."""
+    if lik.n < lik.k + 1:
+        raise FitError(f"need at least p + 2 = {lik.k + 1} observations, got {lik.n}")
+    lik.pinv()
+
+
 def _solve(lik: _Likelihood, init=None):
     """Fit the workspace's family to its rows, once per row of its
-    responses: the kernel of :func:`fit` (one member) and of full
-    conformal's refits (a batch of candidates).
+    responses: the kernel of :func:`fit` (one member) and of
+    :func:`_margins`, full conformal's refits of a batch of candidates.
 
     m1 is solved in closed form, and its objective and fitted values
     (linear predictor, sigma) come from the OLS fit itself.  The others run
-    one batched :func:`_newton` from ``init``, one parameter vector for
-    every member or a (members, K) array of one start per member, or
-    without it from each member's cold start.  Every fit first checks the
-    design's rank with :meth:`_Likelihood.pinv`, whose SVD is made once
-    per workspace, so the refits of one full-conformal interval share it.  The fit itself runs under one ``np.errstate``.
-    Returns, per member, (params, objective, converged, iterations, and
-    the fitted mean and spread of the final derivative pass); converged and
-    iterations are lists.
+    :func:`_newton_all` from ``init``, one parameter vector for every
+    member or a (members, K) array of one start per member, or without it
+    from each member's cold start.  Every fit first checks the design with
+    :func:`_check_design`.  The fit runs under one ``np.errstate``.  Returns, per member, (params, objective,
+    converged, iterations, and the fitted mean and spread of the final
+    derivative pass); converged and iterations are lists.
     """
-    if lik.n < lik.k + 1:
-        raise FitError(f"need at least p + 2 = {lik.k + 1} observations, got {lik.n}")
-    lik.pinv()  # raises SingularDesign for a rank-deficient design
+    _check_design(lik)
     members = len(lik.y)
     if lik.family is ModelFamily.TRANSFORM_HOMO:  # raises no floating point error
         coef, lin, rss, sigma2 = _ols_logit(lik)
@@ -678,7 +802,7 @@ def _solve(lik: _Likelihood, init=None):
             init = np.asarray(init, dtype=float)
             x0 = np.array(np.broadcast_to(init, (members, init.shape[-1])))
             _split_params(x0[0], lik.k - 1, lik.family)  # validates the layout
-        return _newton(lik, x0)
+        return _newton_all(lik, x0)
 
 
 def fit(data: Dataset, spec: ModelSpec, *, init=None) -> FittedModel:

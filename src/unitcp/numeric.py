@@ -106,8 +106,12 @@ def expit(x):
     """Inverse of :func:`logit`; 1 / (1 + exp(-x)).
 
     Returns the raw IEEE result.  Callers that need a value strictly inside
-    (0,1) clamp at the point of use.
+    (0,1) clamp at the point of use.  A Python float goes to the ufunc as
+    it is, which gives the same bits without the round trip through an
+    array.
     """
+    if type(x) is float:
+        return float(sp.expit(x))
     out = sp.expit(np.asarray(x, dtype=float))
     return _scalar_or_array(out, x)
 

@@ -378,8 +378,8 @@ def test_c10_documented_exclusions_and_relative_cpu(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(conformal, "fit", counting(conformal.fit))
-    # every refit passes through _margins, a batch of candidates: each counts
-    monkeypatch.setattr(conformal, "_margins", counting(conformal._margins, lambda ys, *rest: len(ys)))
+    # every refit joins a refit pool once: each join counts
+    monkeypatch.setattr(conformal._Pool, "join", counting(conformal._Pool.join))
     cfg = ScenarioConfig(Scenario.BETA_MEAN, 100, 10.0, rng_seed=99)
     split_rep = run_coverage(cfg, M3, ScoreKind.QUANTILE, Method.SPLIT, 0.1, 20)
     split_fits, fits = fits / 20, 0

@@ -516,16 +516,10 @@ def test_full_cp_fails_when_a_cold_retry_fails(monkeypatch):
     # every refit starts from the base fit, so a failed one is retried once
     # cold, and the failure of that retry is final
     data, x_new, _ = make_scenario_data(Scenario.BETA_MEAN, 40, 10.0, seed=52)
-    calls = []
-
-    def failing_margins(ys, ws, kind, alpha, init=None):
-        calls.append(init)
-        return [conformal._Refit(math.nan, np.asarray(init), MAX_ITER, False) for _ in ys]
-
-    monkeypatch.setattr(conformal, "_margins", failing_margins)
+    calls = _fake_margins(monkeypatch, lambda y: 0.0, lambda y, call: True)
     with pytest.raises(NonConvergence):
         full_cp(data, x_new, M3, ScoreKind.QUANTILE, FullConfig(0.1))
-    assert calls[0] is not None and calls[1:] == [None]
+    assert calls[0][1] is not None and [init for _, init in calls[1:]] == [None]
 
 
 def test_full_cp_margins_depend_on_the_candidate_alone(monkeypatch):
@@ -539,28 +533,18 @@ def test_full_cp_margins_depend_on_the_candidate_alone(monkeypatch):
     cases = [(cons, X[test_rows[0]], ModelSpec(family), kind) for family, kind in ANALYSIS_BATTERY]
     data, x_new, _ = make_scenario_data(Scenario.TRANSFORM_HETERO, 20, None, seed=1210)
     cases.append((data, x_new, M2, ScoreKind.PEARSON))
-    real = conformal._margins
     for data, x_new, spec, kind in cases:
-        calls = []
-
-        def recording(ys, ws, kind, alpha, init=None):
-            refits = real(ys, ws, kind, alpha, init)
-            calls.append((list(ys), init, refits))
-            return refits
-
-        monkeypatch.setattr(conformal, "_margins", recording)
+        pools = _recording_pools(monkeypatch)
         full_cp(data, x_new, spec, kind, FullConfig(0.1))
         monkeypatch.undo()
         base = fit(data, spec)
         ws = _Likelihood(data, spec.family, x_new)
-        assert any(len(ys) > 1 for ys, _, _ in calls)
-        for ys, init, refits in calls:
-            if init is not None:
-                for y, start in zip(ys, np.broadcast_to(init, (len(ys), len(base.params)))):
-                    if y not in END_CELLS:
-                        np.testing.assert_array_equal(start, base.params)
-            for y, refit in zip(ys, refits):
-                alone = real([y], ws, kind, 0.1, None if init is None else base.params)[0]
+        assert any(len(joined) > 1 for pool in pools for joined in pool.joins)
+        for pool in pools:
+            for y, start, refit in pool.ended:
+                if start is not None and y not in END_CELLS:
+                    np.testing.assert_array_equal(start, base.params)
+                alone = conformal._margins([y], ws, kind, 0.1, None if start is None else base.params)[0]
                 assert refit.converged == alone.converged
                 if alone.converged:
                     assert refit.margin == alone.margin
@@ -795,21 +779,66 @@ def _predicted(data, x_new, spec, kind):
 
 
 def _fake_margins(monkeypatch, margin_of, failing=lambda y, call: False):
-    """Replace every refit by the margin ``margin_of(y)``, or a failed fit
-    where ``failing(y, call)`` (``call`` counts the calls from 0); returns
-    the candidates and the start of every call."""
+    """Replace every refit pool, full CP's and ``_margins``', by one whose
+    members all end in the round they join, with the margin
+    ``margin_of(y)``, or a failed fit where ``failing(y, call)`` (``call``
+    counts the rounds from 0); returns the candidates of every round and
+    their starts, None when every one starts cold."""
     calls = []
 
-    def fake(ys, ws, kind, alpha, init=None):
-        calls.append((list(ys), init))
-        params = np.zeros(ws.k + ws.kd)
-        failed = conformal._Refit(math.nan, params, MAX_ITER, False)
-        return [
-            failed if failing(y, len(calls) - 1) else conformal._Refit(margin_of(y), params, 1, True) for y in ys
-        ]
+    class FakePool:
+        def __init__(self, ws, kind, alpha):
+            self.params, self.joining = np.zeros(ws.k + ws.kd), []
 
-    monkeypatch.setattr(conformal, "_margins", fake)
+        def __bool__(self):
+            return bool(self.joining)
+
+        def join(self, tag, y, start=None):
+            self.joining.append((tag, y, start))
+
+        def drop(self, tag):
+            self.joining = [j for j in self.joining if j[0] != tag]
+
+        def round(self):
+            joining, self.joining = self.joining, []
+            if not joining:
+                return []
+            starts = [start for _, _, start in joining]
+            calls.append(([y for _, y, _ in joining], None if all(s is None for s in starts) else starts))
+            failed = conformal._Refit(math.nan, self.params, MAX_ITER, False)
+            return [
+                (tag, y, failed if failing(y, len(calls) - 1) else conformal._Refit(margin_of(y), self.params, 1, True))
+                for tag, y, _ in joining
+            ]
+
+    monkeypatch.setattr(conformal, "_Pool", FakePool)
     return calls
+
+
+def _recording_pools(monkeypatch):
+    """Record every refit pool that is made: the list of them, each with
+    the candidates that join in each of its rounds (``joins``) and
+    ``(y, start, refit)`` for every refit that ends (``ended``)."""
+    pools = []
+
+    class Recording(conformal._Pool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.joins, self.ended, self.starts = [], [], {}
+            pools.append(self)
+
+        def join(self, tag, y, start=None):
+            self.starts[tag] = start
+            super().join(tag, y, start)
+
+        def round(self):
+            self.joins.append([y for _, y, _ in self.joining])
+            ended = super().round()
+            self.ended += [(y, self.starts[tag], refit) for tag, y, refit in ended]
+            return ended
+
+    monkeypatch.setattr(conformal, "_Pool", Recording)
+    return pools
 
 
 def _interval_margin(lower, upper):
@@ -856,8 +885,9 @@ def test_the_first_batch_holds_the_first_point_and_the_end_cells(monkeypatch, sp
     predicted, base = _predicted(data, x_new, spec, kind)
     calls = _fake_margins(monkeypatch, _interval_margin(predicted.lower, predicted.upper))
     full_cp(data, x_new, spec, kind, FullConfig(0.1))
-    for _, init in calls:
-        np.testing.assert_array_equal(init, base.params)
+    for _, starts in calls:
+        for start in starts:
+            np.testing.assert_array_equal(start, base.params)
     if spec.family.is_beta:
         first = _first_points(0.0, 1.0, tol, (predicted.lower, predicted.upper))
         assert calls[0][0] == [*first, *END_CELLS]
@@ -930,22 +960,16 @@ def test_full_cp_shares_end_cells_across_score_kinds(monkeypatch):
         for kind in kinds
         for i, x_new in enumerate(rows)
     }
-    worked = []  # the end cells refitted with Newton iterations, one entry per refit
-    real = conformal._margins
-
-    def spy(ys, *args):
-        refits = real(ys, *args)
-        worked.extend(y for y, r in zip(ys, refits) if y in END_CELLS and r.iterations)
-        return refits
-
-    monkeypatch.setattr(conformal, "_margins", spy)
+    pools = _recording_pools(monkeypatch)
     for order in (kinds, kinds[::-1]):
         shared = Dataset(y, X)
         for spec in (M3, M4):
             for i, x_new in enumerate(rows):
-                worked.clear()
+                pools.clear()
                 for kind in order:
                     assert full_cp(shared, x_new, spec, kind, cfg) == fresh[spec, kind, i]
+                # the end cells refitted with Newton iterations, one entry per refit
+                worked = [y for pool in pools for y, _, r in pool.ended if y in END_CELLS and r.iterations]
                 assert sorted(worked) == END_CELLS
         assert len(shared._end_cells) == 2 * len(rows)
 
@@ -1017,17 +1041,10 @@ def test_full_cp_searches_from_the_centre_when_no_logit_guess_is_in_range(monkey
         guesses = conformal._log_odds(np.array([predicted.lower, predicted.upper]))
     limit, step = conformal.LOGIT_LIMIT, FullConfig.grid_step
     assert _first_points(-limit, limit, step, guesses) == []
-    calls = []
-    real = conformal._margins
-
-    def spy(ys, *args):
-        calls.append(list(ys))
-        return real(ys, *args)
-
-    monkeypatch.setattr(conformal, "_margins", spy)
+    pools = _recording_pools(monkeypatch)
     iv = full_cp(data, x_new, M2, kind, FullConfig(0.1))
     monkeypatch.undo()
-    assert calls[:2] == [[], [float(expit(float(base.predict(x_new)[0])))]]
+    assert pools[0].joins[0] == [float(expit(float(base.predict(x_new)[0])))]
     assert 0.0 < iv.lower < 1e-15 and 1.0 - 1e-15 < iv.upper < 1.0
     for y_edge in (iv.lower, iv.upper):
         assert indicator(y_edge, data, x_new, M2, kind, 0.1, init=base.params)
@@ -1065,9 +1082,7 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
     perm = np.random.default_rng([1, 0]).permutation(data.n)
     cons = Dataset(data.y[perm[n_test:]], data.X[perm[n_test:]])
     fits = cold = 0  # base fits and refits, counted where full_cp makes them
-    solves = 0  # batched solves of at least one refit, one after another
-    iterations = 0  # Newton iterations of the refits; m1's closed form takes none
-    real_fit, real_margins = conformal.fit, conformal._margins
+    real_fit = conformal.fit
 
     def counting_fit(*args, **kwargs):
         nonlocal fits, cold
@@ -1075,38 +1090,45 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
         cold += kwargs.get("init") is None
         return real_fit(*args, **kwargs)
 
-    def counting_margins(ys, ws, kind, alpha, init=None):
-        # every refit passes here (_margin is a batch of one): each member counts
-        nonlocal fits, cold, solves, iterations
-        fits += len(ys)
-        solves += bool(ys)
-        refits = real_margins(ys, ws, kind, alpha, init)
-        if init is None:
-            cold += len(ys)
-        iterations += sum(refit.iterations for refit in refits)
-        return refits
-
     monkeypatch.setattr(conformal, "fit", counting_fit)
-    monkeypatch.setattr(conformal, "_margins", counting_margins)
+    pools = _recording_pools(monkeypatch)  # every refit joins a pool, a cold retry one of its own
     intervals = 0
     for i in perm[:n_test]:
         for family, kind in ANALYSIS_BATTERY:
             full_cp(cons, data.X[i], ModelSpec(family), kind, FullConfig(0.1))
             intervals += 1
+    starts = [start for pool in pools for start in pool.starts.values()]
+    fits += len(starts)  # the edge probes an included end cell stopped count too
+    cold += sum(start is None for start in starts)
     assert fits / intervals <= 9.5
     assert cold == 4  # one base fit per family: every test point shares the dataset
-    # both edges search in lockstep; the iterations are the price of
-    # starting every refit from the base fit
-    assert solves / intervals <= 4.5
+    # the refits of an interval run in one pool, one round after another, and
+    # each edge probes on as soon as its last refit ends (14.83 rounds per
+    # interval; 16.27 while the end cells held the edges back)
+    assert sum(pool.rounds for pool in pools) / intervals <= 15.0
     # the second score kind of a beta family and row reuses the first's end
     # cells, which then take no iterations (24.30 per interval; 28.63 without)
+    iterations = sum(refit.iterations for pool in pools for _, _, refit in pool.ended)
     assert iterations / intervals <= 25.5
 
 
 def _batched(margin):
-    """The margins of a list of points, as ``_search`` takes them, from a
-    margin of one point."""
+    """The margins of a list of points from a margin of one point."""
     return lambda us: [margin(u) for u in us]
+
+
+def _run_search(margins, *args):
+    """Run ``_search(*args)`` with every refit ending in the round it
+    starts, one call of ``margins`` per round: the lockstep case."""
+    search = _search(*args)
+    try:
+        orders = next(search)
+        while True:
+            probes = [(tag, u) for tag, u in orders if u is not None]
+            ended = margins([u for _, u in probes])
+            orders = search.send([(tag, m) for (tag, _), m in zip(probes, ended)])
+    except StopIteration as stop:
+        return stop.value
 
 
 def _recording(margin):
@@ -1123,7 +1145,7 @@ def _recording(margin):
 def test_search_expands_when_the_centre_is_excluded():
     tol = 1e-4
     margins, batches = _recording(lambda u: abs(u - 0.7) - 0.1)
-    lower, upper = _search(margins, (0.2, -0.1), 0.0, 1.0, tol, (0.1, 0.3))
+    lower, upper = _run_search(margins, (0.2, -0.1), 0.0, 1.0, tol, (0.1, 0.3))
     # the guesses, each a quarter tolerance inward, then the centre
     assert batches[:2] == [pytest.approx([0.1 + 0.25 * tol, 0.3 - 0.25 * tol], abs=1e-15), [0.2]]
     assert 0.6 <= lower < 0.6 + tol
@@ -1138,7 +1160,7 @@ def test_search_skips_the_centre_when_both_guesses_are_included(estimate):
     # the centre's estimated margin only steers the first secant steps
     tol = 1e-4
     margins, batches = _recording(lambda u: abs(u - 0.5) - 0.2)
-    lower, upper = _search(margins, (0.5, estimate), 0.0, 1.0, tol, (0.35, 0.65))
+    lower, upper = _run_search(margins, (0.5, estimate), 0.0, 1.0, tol, (0.35, 0.65))
     assert not any(0.5 in batch for batch in batches)
     assert 0.3 <= lower < 0.3 + tol
     assert 0.7 - tol < upper <= 0.7
@@ -1151,7 +1173,7 @@ def test_search_endpoints_keep_clear_of_the_edge(guesses):
     # edge go a quarter tolerance inside it
     tol = 1e-4
     margins = _batched(lambda u: abs(u - 0.5) - 0.2)
-    lower, upper = _search(margins, (0.5, -0.2), 0.0, 1.0, tol, guesses)
+    lower, upper = _run_search(margins, (0.5, -0.2), 0.0, 1.0, tol, guesses)
     assert 0.3 + 0.1 * tol < lower < 0.3 + tol
     assert 0.7 - tol < upper < 0.7 - 0.1 * tol
 
@@ -1160,7 +1182,7 @@ def test_search_walks_to_the_range_end_when_everything_is_included():
     # every candidate is included (as when k > n, where the margin is -inf):
     # the region reaches both range ends
     tol = 1e-4
-    lower, upper = _search(
+    lower, upper = _run_search(
         _batched(lambda u: -math.inf), (0.3, -math.inf), 0.0, 1.0, tol, (-math.inf, math.inf)
     )
     assert 0.0 < lower <= tol
@@ -1169,13 +1191,13 @@ def test_search_walks_to_the_range_end_when_everything_is_included():
 
 def test_search_reports_an_empty_region():
     margins, batches = _recording(lambda u: 1.0)
-    assert _search(margins, (0.5, -1.0), 0.0, 1.0, 1e-2, (0.4, 0.6)) is None
+    assert _run_search(margins, (0.5, -1.0), 0.0, 1.0, 1e-2, (0.4, 0.6)) is None
     assert sum(map(len, batches)) < 2 / 1e-2 + 1
 
 
 def test_search_stops_at_float_resolution():
     # a tolerance below the float spacing must not stall the bracket
-    lower, upper = _search(
+    lower, upper = _run_search(
         _batched(lambda u: abs(u - 0.3) - 0.1), (0.3, -0.1), 0.0, 1.0, 1e-20, (0.25, 0.35)
     )
     assert lower == pytest.approx(0.2, abs=1e-15)
@@ -1195,8 +1217,9 @@ def _edge_alone(edge, margin):
 
 
 def test_search_advances_both_edges_in_lockstep():
-    # after the first batch, each batch holds the next probe of every edge
-    # still open, and each edge probes what it would probe alone
+    # when every refit ends in the round it starts, each round after the
+    # first holds the next probe of every edge still open, and each edge
+    # probes what it would probe alone
     tol = 1e-4
 
     def margin(u):
@@ -1204,7 +1227,7 @@ def test_search_advances_both_edges_in_lockstep():
 
     centre, guesses = (0.5, -0.2), (0.35, 0.65)
     margins, batches = _recording(margin)
-    bounds = _search(margins, centre, 0.0, 1.0, tol, guesses)
+    bounds = _run_search(margins, centre, 0.0, 1.0, tol, guesses)
     first = _first_points(0.0, 1.0, tol, guesses)
     assert batches[0] == first
     lower, lo = _edge_alone(conformal._edge((first[0], margin(first[0])), (0.0, None), tol, centre), margin)
@@ -1212,3 +1235,94 @@ def test_search_advances_both_edges_in_lockstep():
     assert len(lower) < len(upper)
     assert bounds == (lo, hi)
     assert batches[1:] == [[u for u in pair if u is not None] for pair in itertools.zip_longest(lower, upper)]
+
+
+def _run_search_slow(margin, rounds_of, *args):
+    """Run ``_search(*args)`` with the refit of point u taking
+    ``rounds_of(u)`` rounds: (its result, the rounds run, the points whose
+    refits it stopped, the points of every round's orders)."""
+    search = _search(*args)
+    running, stopped, started, rounds = {}, [], [], 0
+    try:
+        orders = next(search)
+        while True:
+            started.append([u for _, u in orders if u is not None])
+            for tag, u in orders:
+                if u is None:
+                    stopped.append(running.pop(tag)[0])
+                else:
+                    running[tag] = [u, rounds_of(u)]
+            rounds += 1
+            ended = []
+            for tag, refit in list(running.items()):
+                refit[1] -= 1
+                if not refit[1]:
+                    ended.append((tag, margin(refit[0])))
+                    del running[tag]
+            orders = search.send(ended)
+    except StopIteration as stop:
+        assert not running
+        return stop.value, rounds, stopped, started
+
+
+def test_search_edges_do_not_wait_for_each_other():
+    # the upper edge's refits take three rounds, the lower edge's one: the
+    # lower edge probes on every round, and each edge probes what it would
+    # probe alone, so the result is the lockstep one
+    tol, centre, guesses = 1e-4, (0.5, -0.2), (0.35, 0.65)
+
+    def margin(u):
+        return max(0.3 - u, 40.0 * (u - 0.7) ** 3)
+
+    first = _first_points(0.0, 1.0, tol, guesses)
+    lower, _ = _edge_alone(conformal._edge((first[0], margin(first[0])), (0.0, None), tol, centre), margin)
+    upper, _ = _edge_alone(conformal._edge((first[1], margin(first[1])), (1.0, None), tol, centre), margin)
+    slow = _run_search_slow(margin, lambda u: 3 if u > 0.5 else 1, centre, 0.0, 1.0, tol, guesses)
+    assert slow[0] == _run_search(_batched(margin), centre, 0.0, 1.0, tol, guesses)
+    # the first points end in round 3, and then each upper probe takes 3 rounds
+    assert slow[1] == 3 + 3 * len(upper) and not slow[2]
+    probes = [u for batch in slow[3] for u in batch]
+    assert [u for u in probes if u < 0.5 and u not in first] == lower
+    assert [u for u in probes if u > 0.5 and u not in first] == upper
+
+
+@pytest.mark.parametrize("slow", [1, 5])
+def test_search_an_included_end_cell_stops_its_sides_edge(slow):
+    # a far component reaches into the lower end cell.  The first points
+    # take a round, the edges' probes three and the cells ``slow``: at 5 the
+    # lower edge has started from the first point and has its second probe
+    # running when the cell ends included, and that probe is stopped; at 1
+    # the cell ends with the first points and the lower edge never starts.
+    # Either way the result is that of waiting for the cells
+    tol, centre, guesses, cells = 1e-4, (0.5, -0.2), (0.35, 0.65), (0.5e-4, 1.0 - 0.5e-4)
+    first = _first_points(0.0, 1.0, tol, guesses)
+
+    def margin(u):
+        return min(max(0.3 - u, u - 0.7), u - 2e-4)
+
+    result, _, stopped, started = _run_search_slow(
+        margin, lambda u: slow if u in cells else 1 if u in first else 3, centre, 0.0, 1.0, tol, guesses, cells
+    )
+    assert started[0] == [*first, *cells]
+    assert result == _run_search(_batched(margin), centre, 0.0, 1.0, tol, guesses, cells)
+    assert result[0] == cells[0] and 0.7 - tol < result[1] <= 0.7
+    assert len(stopped) == (slow > 1) and all(cells[0] < u < 0.3 for u in stopped)
+
+
+def test_full_cp_stops_an_edge_when_its_end_cell_is_included(monkeypatch):
+    # body-fat split rng=[1, 1], row 3, m4/pearson: the lower end cell ends
+    # included while the lower edge has a probe running, which is stopped;
+    # the interval is the one found when the edges waited for the end cells
+    cons, X, test_rows = _bodyfat_split(1, 1)
+    assert 3 in test_rows
+    stopped = []
+    real = conformal._Pool.drop
+
+    def drop(self, tag):
+        stopped.append(self.running.get(tag))
+        real(self, tag)
+
+    monkeypatch.setattr(conformal._Pool, "drop", drop)
+    iv = full_cp(cons, X[3], M4, ScoreKind.PEARSON, FullConfig(0.1))
+    assert len(stopped) == 1 and END_CELLS[0] < stopped[0] < iv.upper
+    assert (iv.lower, iv.upper) == (END_CELLS[0], 0.13621638571732628)

@@ -460,3 +460,56 @@ def test_invalid_parameter_region_is_rejected():
     data, _, _ = make_scenario_data(Scenario.BETA_MEAN, 50, 10.0, seed=2)
     bad = np.array([0.0, 0.0, 0.0, 0.0, 800.0])  # exp(800) overflows phi
     assert loglik(data, M3, bad) == -np.inf
+
+
+def test_datasets_and_fits_compare_and_hash_by_identity():
+    # both carry memos or a fit's arrays, so equality is identity
+    data, _, _ = make_scenario_data(Scenario.BETA_MEAN, 30, 10.0, seed=3)
+    copy = Dataset(data.y, data.X)
+    a, b = fit(data, M3), fit(data, M3)
+    np.testing.assert_array_equal(a.params, b.params)
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert data == data and data != copy and len({data, copy, data}) == 2
+    assert {data: a}[data] is a
+
+
+@pytest.mark.parametrize("spec,scenario,disp", [(M2, Scenario.TRANSFORM_HETERO, None), (M3, Scenario.BETA_MEAN, 10.0),
+                                                (M4, Scenario.BETA_MEAN_DISP, None)])
+def test_newton_pool_members_get_their_bits_alone(spec, scenario, disp):
+    # a member that joins after the others have run two rounds, and the
+    # members beside one that is dropped after a round, end with the bits of
+    # their fits alone: parameters, objective, test, iterations, fitted values
+    data, x_new, _ = make_scenario_data(scenario, 60, disp, seed=45)
+    ws = _Likelihood(data, spec.family, x_new)
+    start = fit(data, spec).params
+    ys = np.quantile(data.y, [0.05, 0.5, 0.95, 0.3]).tolist()
+    alone = {}
+    for tag, y in zip("abcd", ys):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            x, f, converged, iterations, mean, spread = models._newton_all(ws.joined([y], 0), start[None])
+        alone[tag] = (x[0], f[0], converged[0], iterations[0], mean[0], spread[0])
+
+    def run(pool, sends):
+        """What ends in each member, sending ``sends`` after the first
+        rounds, one per round, and None after them."""
+        ended, sends = {}, iter(sends)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = next(pool)
+            while True:
+                for tags, x, f, converged, iterations, mean, spread, _ in report:
+                    for i, tag in enumerate(tags):
+                        ended[tag] = (x[i], f[i], converged[i], iterations[i], mean[i], spread[i])
+                try:
+                    report = pool.send(next(sends, None))
+                except StopIteration:
+                    return ended
+
+    joined = run(models._newton(ws.joined(ys[:2], 0), np.array([start, start]), "ab"),
+                 [None, ((("c", "d"), ys[2:], np.array([start, start])), ())])
+    dropped = run(models._newton(ws.joined(ys[:3], 0), np.array([start] * 3), "abc"), [(None, {"b"})])
+    assert sorted(joined) == list("abcd") and sorted(dropped) == ["a", "c"]
+    assert min(joined[tag][3] for tag in "ab") >= 2  # a and b took a step in the round c and d joined
+    for ended in (joined, dropped):
+        for tag, got in ended.items():
+            for a, b in zip(got, alone[tag]):
+                np.testing.assert_array_equal(a, b)
