@@ -8,16 +8,22 @@ second score kind reuses the first one's end cells.  Per interval it
 prints:
 
 * ``refits``: the candidates refitted, cold retries included, and the
-  edge probes that an included end cell stopped (``stopped``);
+  probes of edges that an included end cell restarted, which run to
+  their end all the same;
 * ``cold``: the refits that started cold, the retries of refits that did
   not converge from the base fit;
 * ``rounds``: the refit pool's rounds, which run one after another; a
   round takes every running refit one Newton step, or solves m1 in closed
   form;
-* ``iterations``: the Newton iterations of the refits that ended.
+* ``iterations``: the Newton iterations of the refits that ended;
+* ``evaluated``: the batch members evaluated, the rows of every
+  parameter array passed to ``models._Likelihood.evaluate``, line-search
+  halvings and the m3 fits behind m4's cold starts included.  A round's
+  cost grows with its members, so this shows what refits the search no
+  longer needs cost.
 
-The base fits, one per split and family, are not counted.  Run it from the
-repository root:
+The base fits, one per split and family, are made before the counting
+and are not counted.  Run it from the repository root:
 
     PYTHONPATH=src python scripts/counts.py [--seed 1] [--splits 3]
 """
@@ -30,9 +36,9 @@ from collections import Counter
 
 import numpy as np
 
-from unitcp import Dataset, FullConfig, ModelSpec, cli, conformal, full_cp
+from unitcp import Dataset, FullConfig, ModelSpec, cli, conformal, full_cp, models
 
-COLUMNS = ("refits", "stopped", "cold", "rounds", "iterations")
+COLUMNS = ("refits", "cold", "rounds", "iterations", "evaluated")
 
 
 def counts(seed: int, splits: int) -> dict:
@@ -46,10 +52,6 @@ def counts(seed: int, splits: int) -> dict:
             current["cold"] += start is None
             super().join(tag, y, start)
 
-        def drop(self, tag):
-            current["stopped"] += tag in self.running
-            super().drop(tag)
-
         def round(self):
             before = self.rounds
             ended = super().round()
@@ -57,12 +59,21 @@ def counts(seed: int, splits: int) -> dict:
             current["iterations"] += sum(refit.iterations for _, _, refit in ended)
             return ended
 
+    evaluate = models._Likelihood.evaluate
+
+    def counting_evaluate(self, x):
+        current["evaluated"] += len(x)
+        return evaluate(self, x)
+
     conformal._Pool = Counting
+    models._Likelihood.evaluate = counting_evaluate
     data = cli.load_csv(cli.bodyfat_path())
     n_test = round(0.1 * data.n)
     for s in range(splits):
         perm = np.random.default_rng([seed, s]).permutation(data.n)
         cons = Dataset(data.y[perm[n_test:]], data.X[perm[n_test:]])
+        for family, _ in cli.ANALYSIS_BATTERY:
+            conformal._base_fit(cons, ModelSpec(family))
         for i in perm[:n_test]:
             for family, kind in cli.ANALYSIS_BATTERY:
                 current.clear()

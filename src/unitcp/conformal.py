@@ -20,9 +20,10 @@ and the interval is (0, 1) with no fit.
 The refits of an interval run in one pool (:class:`_Pool`): a candidate
 joins it between two Newton rounds, every running refit takes one step
 per round, and a refit leaves when it stops, so the search hears of each
-margin in the round its refit ends.  Each edge orders its next probe as
-soon as its last one ends, whatever the other edge does.  A refit that
-does not converge from the base fit is refitted once cold.  The base fit
+margin in the round its refit ends.  A refit joins, runs and ends; none
+is stopped early.  Each edge orders its next probe as soon as its last
+one ends, whatever the other edge does.  A refit that does not converge
+from the base fit is refitted once cold.  The base fit
 is made once per dataset and family and kept on the dataset.  The refits
 of an interval share one candidate workspace, built and validated once:
 the design of the n rows plus the new covariate row, with the response
@@ -33,10 +34,11 @@ of the included points it finds.  For the beta families these include
 the two end cells, y = tol/2 and 1 - tol/2, which join the pool with the
 search's first points: an included end cell is the interval's endpoint
 on its side.  The edges do not wait for them: an end cell that ends
-included stops the refit its side's edge has running.  Their refits do
-not depend on the score, so the dataset keeps their converged parameters
-per family and new row, and the other score kind's interval starts them
-there.
+included restarts its side's edge, and the margin of the probe the old
+edge had running is ignored when that refit ends.  Their refits do not
+depend on the score, so the dataset keeps each one's converged
+parameters per family and new row as soon as it converges, and the
+other score kind's interval starts them there.
 """
 
 from __future__ import annotations
@@ -161,8 +163,9 @@ class FullConfig:
     The endpoint resolutions are fixed, not settings: ``tolerance`` in y
     for the beta families' search and ``grid_step`` on the logit scale for
     the transform families'.  Each returned endpoint is certified included
-    by a refit from the base fit and lies within that resolution of the
-    edge of the conformal set.
+    by a refit from the base fit, or by its cold retry where that refit
+    did not converge, and lies within that resolution of the edge of the
+    conformal set.
     """
 
     tolerance: ClassVar[float] = 1e-4
@@ -285,13 +288,13 @@ class _Pool:
     the n rows of the data plus the row of ``x_new``, whose design the
     caller has checked.  :meth:`join` queues a candidate y under a tag of
     the caller's, to start from the parameter vector ``start``, or cold
-    without it; :meth:`drop` takes a member out, unscored: a running one
-    leaves the Newton pool at once, a queued one never joins.  Each
-    :meth:`round` starts the queued members and runs Newton rounds of one
-    :func:`models._newton` pool until at least one member stops, since
-    until then nothing can change what the caller asks for, and returns
-    ``(tag, y, refit)`` for each member whose refit stopped, with its
-    margin (see :func:`_margins`), scored on the rows its refit ran on.
+    without it.  A member that joins runs until its refit stops, whether
+    or not the caller still needs it.  Each :meth:`round` starts the
+    queued members and runs Newton rounds of one :func:`models._newton`
+    pool until at least one member stops, since until then nothing can
+    change what the caller asks for, and returns ``(tag, y, refit)`` for
+    each member whose refit stopped, with its margin (see
+    :func:`_margins`), scored on the rows its refit ran on.
     m1 is solved in closed form, so its members stop in the round they
     join, in one batched solve on ``ws``'s rows.  A member gets the bits it
     would get alone, whoever else runs and whenever it joins.  ``rounds``
@@ -300,7 +303,7 @@ class _Pool:
 
     def __init__(self, ws: _Likelihood, kind: ScoreKind, alpha: float):
         self.ws, self.kind, self.alpha = ws, kind, alpha
-        self.joining, self.dropping = [], []
+        self.joining = []
         self.running = {}  # the candidate of every member in the Newton pool, by tag
         self.newton = None
         self.rounds = 0
@@ -310,13 +313,6 @@ class _Pool:
 
     def join(self, tag, y: float, start=None) -> None:
         self.joining.append((tag, y, start))
-
-    def drop(self, tag) -> None:
-        if tag in self.running:
-            del self.running[tag]
-            self.dropping.append(tag)
-        else:
-            self.joining = [j for j in self.joining if j[0] != tag]
 
     def round(self) -> list:
         ws, joining = self.ws, self.joining
@@ -331,26 +327,22 @@ class _Pool:
             return list(zip(tags, ys, self._refits(params, converged, iterations, mean, spread, ws.modelled)))
         if not (joining or self.running):
             return []
-        join, drop = None, self.dropping
-        self.joining, self.dropping = [], []
+        join, self.joining = None, []
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if joining:
                 tags, ys, starts = zip(*joining)
                 x0 = _starts(ws, ys, starts)
                 self.running.update(zip(tags, ys))
                 join = (tags, ys, x0)
-            try:
-                if self.newton is None:
-                    self.newton = _newton(ws.joined(ys, 0), x0, tags)
-                    report = next(self.newton)
-                else:
-                    report = self.newton.send((join, drop))
+            if self.newton is None:
+                self.newton = _newton(ws.joined(ys, 0), x0, tags)
+                report = next(self.newton)
+            else:
+                report = self.newton.send(join)
+            self.rounds += 1
+            while not report:  # until a member stops: nothing else can change before
+                report = next(self.newton)
                 self.rounds += 1
-                while not report:  # until a member stops: nothing else can change before
-                    report = next(self.newton)
-                    self.rounds += 1
-            except StopIteration:  # the last running members were dropped
-                self.newton, report = None, []
         out = []
         for tags, params, _, converged, iterations, mean, spread, response in report:
             ys = [self.running.pop(tag) for tag in tags]
@@ -399,8 +391,7 @@ def _margins(ys, ws: _Likelihood, kind: ScoreKind, alpha: float, init=None) -> l
     checked first (see :func:`models._check_design`).  Each candidate y is
     written into that row of its own batch member; every member joins one
     :class:`_Pool` in its first round and leaves it when its refit stops,
-    and none is dropped, the case of a pool whose members all start
-    together.  Each member's n + 1 scores are taken from the fitted values
+    the case of a pool whose members all start together.  Each member's n + 1 scores are taken from the fitted values
     of its last derivative pass.  Every refit starts from
     the parameter vector ``init``, or from its own row of a (members, K)
     ``init``, or cold without it.
@@ -539,10 +530,9 @@ def _search(centre, lo: float, hi: float, tol: float, guesses, cells=()):
 
     A generator over refits that run at once and end in any order: it
     yields orders, a list of ``(tag, u)`` pairs, each to start refitting
-    the point u under a new tag, or with u None to stop the refit under
-    that tag, and is sent the margins of the refits that ended, a list of
-    ``(tag, margin)``.  It returns None for an empty region, else
-    (lower, upper): the hull of the included points found.
+    the point u under a new tag, and is sent the margins of the refits
+    that ended, a list of ``(tag, margin)``.  It returns None for an empty
+    region, else (lower, upper): the hull of the included points found.
 
     ``guesses`` are where the edges are expected and ``centre`` is a point
     (u, estimated margin) where the region is expected.  ``cells`` are the
@@ -556,7 +546,7 @@ def _search(centre, lo: float, hi: float, tol: float, guesses, cells=()):
     count as excluded), until one is included.  The first orders hold the
     first batch and then the cells, whose refits run beside the first
     phase.  An included cell joins the known points and an excluded one is
-    dropped, so it steers nothing.  Then an :func:`_edge` search runs from
+    left out, so it steers nothing.  Then an :func:`_edge` search runs from
     each of the outermost included points, with ``centre`` to steer its
     first secant step; the estimate never certifies an endpoint.  Each
     edge orders its next probe as soon as its last one ends, whatever the
@@ -566,10 +556,12 @@ def _search(centre, lo: float, hi: float, tol: float, guesses, cells=()):
     known then: a cell still running is not waited for, unless the first
     phase found no included point.  A cell that ends included and moves
     the outermost included point on a side restarts that side's edge from
-    it, which stops the refit the old edge had running: an included end
-    cell is its side's endpoint at once.  The search ends once both edges
-    have returned and every cell has ended, so the result is that of
-    waiting for the cells before starting the edges.
+    it: an included end cell is its side's endpoint at once.  The old
+    edge's probe is forgotten: its refit runs on, and its margin is
+    ignored when it ends, so it never reaches the new edge.  The search
+    ends once both edges have returned and every cell has ended, perhaps
+    with such a probe still running, so the result is that of waiting for
+    the cells before starting the edges.
     """
     known = {lo: None, hi: None}
 
@@ -613,7 +605,7 @@ def _search(centre, lo: float, hi: float, tol: float, guesses, cells=()):
 
     def launch() -> bool:
         """Start the edge search of each side whose outermost included point
-        has moved, stopping the old one's probe; False when there is none."""
+        has moved, forgetting the old one's probe; False when there is none."""
         points = dict(known)
         points.update((cells[i], m) for i, m in ends.items() if m <= 0.0)
         xs = sorted(points)
@@ -625,9 +617,7 @@ def _search(centre, lo: float, hi: float, tol: float, guesses, cells=()):
             if old is not None:
                 if old[1] == xs[i]:
                     continue
-                if old[2] in flight:
-                    del flight[old[2]]
-                    orders.append((old[2], None))
+                flight.pop(old[2], None)
                 bounds.pop(side, None)
             edges[side] = [_edge((xs[i], points[xs[i]]), (xs[j], points[xs[j]]), tol, centre), xs[i], None]
             step(side)
@@ -643,6 +633,8 @@ def _search(centre, lo: float, hi: float, tol: float, guesses, cells=()):
     while True:
         probed, ended = [], len(ends)
         for tag, m in finished:
+            if tag not in flight:  # the probe of a restarted edge
+                continue
             what, key = flight.pop(tag)
             if what == "find":
                 got[key] = m
@@ -716,20 +708,24 @@ def full_cp(
     search's path or on which refits run beside it.  Nor does it depend on
     the score, so the dataset also keeps the end cells' converged
     parameter vectors, two per beta family and new row (160 bytes of
-    floats for m3 and 288 for m4 at p = 8), and a later call for that
-    family and row, of either score kind, starts its end cells at those
-    parameters: they converge there after no iteration, with the bits of
-    their first refit, and only the score is read off again.  End cells
-    whose refit fails are not kept.
+    floats for m3 and 288 for m4 at p = 8), each kept as soon as its refit
+    converges, and a later call for that family and row, of either score
+    kind, starts its end cells at those parameters: they converge there
+    after no iteration, with the bits of their first refit, and only the
+    score is read off again.  An end cell whose cold retry fails too is
+    not kept.
 
     The search (see :func:`_search`) and every refit run in one
     :class:`_Pool`: the search orders each point as it needs it, every
-    refit joins the pool in the next round, and its margin goes back to
-    the search in the round the refit ends; a refit the search no longer
-    needs, the probe of an edge whose side's end cell ended included, is
-    stopped.  A refit that does not converge is refitted once cold, a
-    start that also depends on the candidate alone, and the interval
-    raises :class:`NonConvergence` when that fails too.  All refits of
+    refit joins the pool in the next round and runs to its end, and its
+    margin goes back to the search in the round the refit ends.  A refit
+    the search no longer needs, the probe of an edge whose side's end
+    cell ended included, runs on, and its margin is ignored; the call may
+    return before it ends.  A refit that does not converge is refitted
+    once cold, a start that also depends on the candidate alone, and the
+    interval raises :class:`NonConvergence` when that fails too.  So each
+    endpoint is certified included by its refit from the base fit, or by
+    its cold retry where that refit did not converge.  All refits of
     the call share one candidate workspace, which is dropped when the call
     returns, with the pool.  Its design is not checked again: the base fit
     checked the data's, and a row more keeps its rank.
@@ -749,8 +745,7 @@ def full_cp(
         to_y, tol, lo, hi = float, cfg.tolerance, 0.0, 1.0
         guesses = (predicted.lower, predicted.upper)
         cells = [0.5 * tol, 1.0 - 0.5 * tol]
-        key = (spec, x_new.tobytes())
-        kept = data._end_cells.get(key, {})
+        kept = data._end_cells.setdefault((spec, x_new.tobytes()), {})
     else:
         to_y, tol, lo, hi = (lambda u: float(expit(u))), cfg.grid_step, -LOGIT_LIMIT, LOGIT_LIMIT
         with np.errstate(divide="ignore"):
@@ -759,28 +754,20 @@ def full_cp(
     estimate = float(score(kind, to_y(centre), base, x_new)) - q
     ws = _Likelihood(data, spec.family, x_new)
     pool = _Pool(ws, kind, cfg.alpha)
-    ended = {} if cells and not kept else None  # this call's end-cell refits, kept once both are in
     search = _search((centre, estimate), lo, hi, tol, guesses, cells)
     join, start = pool.join, base.params
     try:
         orders = next(search)
         while True:
             for tag, u in orders:
-                if u is None:
-                    pool.drop(tag)
-                else:
-                    y = to_y(u)
-                    join(tag, y, kept.get(y, start))
+                y = to_y(u)
+                join(tag, y, kept.get(y, start))
             finished = []
             for tag, y, refit in pool.round():
                 if not refit.converged:
                     refit = _margin(y, ws, kind, cfg.alpha)
-                if ended is not None and y in cells:
-                    ended[y] = refit.params.copy()
-                    if len(ended) == len(cells):  # kept end cells start where their first refit converged
-                        kept.update(ended)
-                        data._end_cells[key] = kept
-                        ended = None
+                if y in cells and y not in kept:  # kept end cells start where their first refit converged
+                    kept[y] = refit.params.copy()
                 finished.append((tag, refit.margin))
             orders = search.send(finished)
     except StopIteration as stop:

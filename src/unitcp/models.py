@@ -616,28 +616,18 @@ def _newton(lik: _Likelihood, x: np.ndarray, tags=None):
     response)``, with the fitted mean and spread of the pass at x and the
     members' responses on the scale the family models (see
     :attr:`_Likelihood.modelled`); the tags, objectives, tests and
-    iteration counts are lists.  It is then sent ``None``, or a
-    pair ``(join, drop)``: ``join`` is None or ``(tags, ys, x)``, the
-    members that join in the next round, with their candidate responses
-    ``ys`` (see :meth:`_Likelihood.joined`) and their starts the rows of
-    ``x``;
-    ``drop`` holds the tags of running members that are dropped: they leave
-    before the round, unreported, and the others run on as if they had
-    never joined.  The generator returns when no member runs and none
-    joins.  A round runs under the ``np.errstate`` of the call that
-    resumes it.
+    iteration counts are lists.  It is then sent ``None``, or the members
+    that join in the next round, ``(tags, ys, x)``: their candidate
+    responses ``ys`` (see :meth:`_Likelihood.joined`) and their starts the
+    rows of ``x``.  Every member runs until it leaves.  The generator
+    returns when no member runs and none joins.  A round runs under the
+    ``np.errstate`` of the call that resumes it.
     """
-    joining, dropping = (range(len(x)) if tags is None else tags, None, np.asarray(x, dtype=float)), ()
+    joining = (range(len(x)) if tags is None else tags, None, np.asarray(x, dtype=float))
     ids, born, f = [], [], []  # the running members' tags, rounds they joined in, and objectives
     k = 0  # the round
     while True:
         report = []
-        if dropping and ids:
-            stay = [j for j, t in enumerate(ids) if t not in dropping]
-            if not stay:
-                ids, born, f = [], [], []
-            elif len(stay) < len(ids):
-                ids, born, f, lik, x, g, rows = _members(stay, ids, born, f, lik, x, g, rows)
         r = len(ids)
         if r:
             step, failed = _newton_direction(lik, rows, g)
@@ -689,8 +679,7 @@ def _newton(lik: _Likelihood, x: np.ndarray, tags=None):
                 stay = [j for j, s in enumerate(stops) if not s]
                 ids, born, f, lik, x, g, rows = _members(stay, ids, born, f, lik, x, g, rows)
         k += 1
-        sent = yield report
-        joining, dropping = (None, ()) if sent is None else sent
+        joining = yield report
 
 
 def _members(stay, ids, born, f, lik, x, g, rows):
@@ -708,8 +697,8 @@ def _members(stay, ids, born, f, lik, x, g, rows):
 
 
 def _newton_all(lik: _Likelihood, x: np.ndarray):
-    """:func:`_newton` with all members joining in the first round and none
-    dropped, under the caller's ``np.errstate``.  Returns, per member in the
+    """:func:`_newton` with all members joining in the first round, under
+    the caller's ``np.errstate``.  Returns, per member in the
     order of ``x``, (x, f, whether the gradient test was met, iterations,
     and the fitted mean and spread of the pass at x); the tests and the
     iteration counts are lists.

@@ -420,6 +420,22 @@ def test_full_cp_m1_matches_exact_set():
         assert abs(logit(iv.upper) - hi) <= slack
 
 
+@pytest.mark.xfail(strict=True, reason="full CP returns the hull of the points it finds and misses far components")
+@pytest.mark.parametrize(
+    "scenario,disp,seed",
+    [(Scenario.TRANSFORM_HOMO, 0.63, seed) for seed in (25, 67)]
+    + [(Scenario.TRANSFORM_HETERO, None, seed) for seed in (25, 67, 246)],
+)
+def test_full_cp_m1_contains_a_far_included_candidate(scenario, disp, seed):
+    # at n = 10 the m1 set of these draws also holds a component far above
+    # the one the search finds: logit 12 is included, yet the interval's
+    # upper endpoint is expit(2.3-3.9), 0.91-0.98
+    data, x_new, _ = make_scenario_data(scenario, 10, disp, seed=seed)
+    far = float(expit(12.0))
+    assert indicator(far, data, x_new, M1, ScoreKind.RAW, 0.1)
+    assert full_cp(data, x_new, M1, ScoreKind.RAW, FullConfig(0.1)).contains(far)
+
+
 CERTIFIED_CASES = [
     (M2, Scenario.TRANSFORM_HETERO, None, ScoreKind.PEARSON),
     (M2, Scenario.TRANSFORM_HETERO, None, ScoreKind.QUANTILE),
@@ -796,9 +812,6 @@ def _fake_margins(monkeypatch, margin_of, failing=lambda y, call: False):
         def join(self, tag, y, start=None):
             self.joining.append((tag, y, start))
 
-        def drop(self, tag):
-            self.joining = [j for j in self.joining if j[0] != tag]
-
         def round(self):
             joining, self.joining = self.joining, []
             if not joining:
@@ -981,7 +994,7 @@ def test_an_end_cell_that_fails_cold_too_is_not_kept(monkeypatch, cell):
     for kind in (ScoreKind.PEARSON, ScoreKind.QUANTILE):
         with pytest.raises(NonConvergence, match="candidate"):
             full_cp(data, x_new, M3, kind, FullConfig(0.1))
-        assert not data._end_cells
+        assert not any(cell in kept for kept in data._end_cells.values())
 
 
 @pytest.mark.parametrize("spec,kind", [(M1, ScoreKind.RAW), (M2, ScoreKind.PEARSON), (M2, ScoreKind.QUANTILE)])
@@ -1098,7 +1111,9 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
             full_cp(cons, data.X[i], ModelSpec(family), kind, FullConfig(0.1))
             intervals += 1
     starts = [start for pool in pools for start in pool.starts.values()]
-    fits += len(starts)  # the edge probes an included end cell stopped count too
+    # the probes of edges an included end cell restarted run on and count
+    # too (9.29 fits per interval)
+    fits += len(starts)
     cold += sum(start is None for start in starts)
     assert fits / intervals <= 9.5
     assert cold == 4  # one base fit per family: every test point shares the dataset
@@ -1107,7 +1122,8 @@ def test_full_cp_refits_per_interval_on_bodyfat(monkeypatch):
     # interval; 16.27 while the end cells held the edges back)
     assert sum(pool.rounds for pool in pools) / intervals <= 15.0
     # the second score kind of a beta family and row reuses the first's end
-    # cells, which then take no iterations (24.30 per interval; 28.63 without)
+    # cells, which then take no iterations (24.46 per interval, the probes of
+    # restarted edges run to their end included; 28.63 without the reuse)
     iterations = sum(refit.iterations for pool in pools for _, _, refit in pool.ended)
     assert iterations / intervals <= 25.5
 
@@ -1124,9 +1140,8 @@ def _run_search(margins, *args):
     try:
         orders = next(search)
         while True:
-            probes = [(tag, u) for tag, u in orders if u is not None]
-            ended = margins([u for _, u in probes])
-            orders = search.send([(tag, m) for (tag, _), m in zip(probes, ended)])
+            ended = margins([u for _, u in orders])
+            orders = search.send([(tag, m) for (tag, _), m in zip(orders, ended)])
     except StopIteration as stop:
         return stop.value
 
@@ -1239,30 +1254,28 @@ def test_search_advances_both_edges_in_lockstep():
 
 def _run_search_slow(margin, rounds_of, *args):
     """Run ``_search(*args)`` with the refit of point u taking
-    ``rounds_of(u)`` rounds: (its result, the rounds run, the points whose
-    refits it stopped, the points of every round's orders)."""
+    ``rounds_of(u)`` rounds: (its result, the rounds run, the points of
+    every round's orders, the points whose refits ended in every round).
+    Every refit runs to its end; the search may return with refits still
+    running."""
     search = _search(*args)
-    running, stopped, started, rounds = {}, [], [], 0
+    running, started, ended = {}, [], []
     try:
         orders = next(search)
         while True:
-            started.append([u for _, u in orders if u is not None])
+            started.append([u for _, u in orders])
             for tag, u in orders:
-                if u is None:
-                    stopped.append(running.pop(tag)[0])
-                else:
-                    running[tag] = [u, rounds_of(u)]
-            rounds += 1
-            ended = []
+                running[tag] = [u, rounds_of(u)]
+            done = []
             for tag, refit in list(running.items()):
                 refit[1] -= 1
                 if not refit[1]:
-                    ended.append((tag, margin(refit[0])))
+                    done.append((tag, refit[0]))
                     del running[tag]
-            orders = search.send(ended)
+            ended.append([u for _, u in done])
+            orders = search.send([(tag, margin(u)) for tag, u in done])
     except StopIteration as stop:
-        assert not running
-        return stop.value, rounds, stopped, started
+        return stop.value, len(ended), started, ended
 
 
 def test_search_edges_do_not_wait_for_each_other():
@@ -1280,8 +1293,8 @@ def test_search_edges_do_not_wait_for_each_other():
     slow = _run_search_slow(margin, lambda u: 3 if u > 0.5 else 1, centre, 0.0, 1.0, tol, guesses)
     assert slow[0] == _run_search(_batched(margin), centre, 0.0, 1.0, tol, guesses)
     # the first points end in round 3, and then each upper probe takes 3 rounds
-    assert slow[1] == 3 + 3 * len(upper) and not slow[2]
-    probes = [u for batch in slow[3] for u in batch]
+    assert slow[1] == 3 + 3 * len(upper)
+    probes = [u for batch in slow[2] for u in batch]
     assert [u for u in probes if u < 0.5 and u not in first] == lower
     assert [u for u in probes if u > 0.5 and u not in first] == upper
 
@@ -1291,38 +1304,55 @@ def test_search_an_included_end_cell_stops_its_sides_edge(slow):
     # a far component reaches into the lower end cell.  The first points
     # take a round, the edges' probes three and the cells ``slow``: at 5 the
     # lower edge has started from the first point and has its second probe
-    # running when the cell ends included, and that probe is stopped; at 1
-    # the cell ends with the first points and the lower edge never starts.
-    # Either way the result is that of waiting for the cells
+    # running when the cell ends included, and the cell restarts the edge;
+    # at 1 the cell ends with the first points and the lower edge never
+    # starts.  Either way the result is that of waiting for the cells
     tol, centre, guesses, cells = 1e-4, (0.5, -0.2), (0.35, 0.65), (0.5e-4, 1.0 - 0.5e-4)
     first = _first_points(0.0, 1.0, tol, guesses)
 
     def margin(u):
         return min(max(0.3 - u, u - 0.7), u - 2e-4)
 
-    result, _, stopped, started = _run_search_slow(
+    result, _, started, _ = _run_search_slow(
         margin, lambda u: slow if u in cells else 1 if u in first else 3, centre, 0.0, 1.0, tol, guesses, cells
     )
     assert started[0] == [*first, *cells]
     assert result == _run_search(_batched(margin), centre, 0.0, 1.0, tol, guesses, cells)
     assert result[0] == cells[0] and 0.7 - tol < result[1] <= 0.7
-    assert len(stopped) == (slow > 1) and all(cells[0] < u < 0.3 for u in stopped)
 
 
-def test_full_cp_stops_an_edge_when_its_end_cell_is_included(monkeypatch):
+def test_search_ignores_the_probe_of_an_edge_its_end_cell_restarted():
+    # cells well inside the range, so that a restarted edge has probes of its
+    # own.  The first points take a round, the cells two and the edges'
+    # probes three: the lower cell ends included while the lower edge's
+    # first probe runs, and restarts that edge from the cell.  The old probe
+    # ends excluded two rounds later, while the new edge's first probe,
+    # included, still runs: taken for that probe's margin, it would stop the
+    # new edge short of the range end.  It is ignored, and the result is the
+    # lockstep one
+    tol, centre, guesses, cells = 1e-4, (0.5, -0.1), (0.35, 0.65), (0.05, 0.95)
+    first = _first_points(0.0, 1.0, tol, guesses)
+
+    def margin(u):
+        return min(max(0.32 - u, u - 0.7), u - 0.06)
+
+    result, _, started, ended = _run_search_slow(
+        margin, lambda u: 1 if u in first else 2 if u in cells else 3, centre, 0.0, 1.0, tol, guesses, cells
+    )
+    old, new = min(started[1]), started[2][0]  # the old lower edge's first probe, the new one's
+    assert ended[1] == list(cells) and started[2] == [new]
+    assert old in ended[3] and new in ended[4]
+    assert margin(old) > 0.0 >= margin(new) and new < cells[0]
+    assert result == _run_search(_batched(margin), centre, 0.0, 1.0, tol, guesses, cells)
+    assert 0.0 < result[0] <= tol and 0.7 - tol < result[1] <= 0.7
+
+
+def test_full_cp_stops_an_edge_when_its_end_cell_is_included():
     # body-fat split rng=[1, 1], row 3, m4/pearson: the lower end cell ends
-    # included while the lower edge has a probe running, which is stopped;
-    # the interval is the one found when the edges waited for the end cells
+    # included while the lower edge has a probe running, whose margin is
+    # ignored; the interval is the one found when the edges waited for the
+    # end cells
     cons, X, test_rows = _bodyfat_split(1, 1)
     assert 3 in test_rows
-    stopped = []
-    real = conformal._Pool.drop
-
-    def drop(self, tag):
-        stopped.append(self.running.get(tag))
-        real(self, tag)
-
-    monkeypatch.setattr(conformal._Pool, "drop", drop)
     iv = full_cp(cons, X[3], M4, ScoreKind.PEARSON, FullConfig(0.1))
-    assert len(stopped) == 1 and END_CELLS[0] < stopped[0] < iv.upper
     assert (iv.lower, iv.upper) == (END_CELLS[0], 0.13621638571732628)
